@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .errors import DegenerateCurve, NotACube
-from .factorization import factor_integer
+from .factorization import factor_integer, valuation
 from .polynomials import IntPolynomial
 from .rationals import RationalLike, format_rational, is_nth_power, parse_rational
 
@@ -156,15 +156,7 @@ def integral_model(c: Curve) -> Curve:
 
 def _valuation_q(q: Fraction, p: int) -> int:
     # p-adic valuation of a nonzero rational
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return valuation(q.numerator, p) - valuation(q.denominator, p)
 
 
 def quartic_f(c: Curve) -> IntPolynomial:

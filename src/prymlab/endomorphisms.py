@@ -14,11 +14,15 @@ Endomorphism field.  All endomorphisms are defined over L = Q(omega, delta^(1/6)
   since the quadratic field cannot split a cubic), else 3.
 
 Real multiplication / GL2-type.  The Prym acquires everything over Q exactly
-in the sixth-power cases: End = Z[sqrt(2)] iff delta is a rational sixth power,
-End = Z[sqrt(6)] iff -27*delta is one (the two cases are exclusive: their ratio
--27 is not a sixth power); otherwise End = Z.  GL2-type is precisely the union
-of the two cases.  The Z[sqrt(2)] surfaces are principally polarizable, the
-Z[sqrt(6)] ones are not.
+when d = 1, and d = 1 is the sixth-power case: delta or -27*delta is a
+rational sixth power.  Indeed a rational square that is also a cube is a
+sixth power; if -3*delta is a square and delta a cube then -27*delta =
+9*(-3*delta) = (-3)^3*delta is both, hence a sixth power; and conversely
+delta = r^6 or -27*delta = r^6 makes delta a cube and delta or -3*delta a
+square.  Since delta != 0, delta and -3*delta cannot both be squares, and the
+sign says which one is: delta > 0 gives End = Z[sqrt(2)], delta < 0 gives
+End = Z[sqrt(6)]; d > 1 gives End = Z.  GL2-type is precisely d = 1.  The
+Z[sqrt(2)] surfaces are principally polarizable, the Z[sqrt(6)] ones are not.
 
 CM.  The finitely many rational CM classes are detected by j or 1/j hitting the
 hard-coded table; for those, the trichotomy above is suppressed (its hypotheses
@@ -55,6 +59,9 @@ CM_TABLE = {
     Fraction(-1771561, 421875): -372,
     Fraction(-11390625, 4913): -408,
 }
+
+# Sato-Tate group per Galois label; nothing is asserted for D1/D2
+SATO_TATE_LABELS = {"D6": "J(E_6)", "D3": "J(E_3)"}
 
 
 @dataclass(frozen=True)
@@ -97,23 +104,27 @@ def cm_discriminant(c: Curve) -> Optional[int]:
     return hit
 
 
+def end_ring_from(field: EndoFieldDescriptor, cm: Optional[int]) -> EndRing:
+    """End(P)/Q from the endomorphism field and the CM discriminant (or None).
+
+    CM beats real multiplication; otherwise d = 1 gives Z[sqrt2] or Z[sqrt6]
+    by the sign of delta, and d > 1 gives Z.
+    """
+    if cm is not None:
+        return EndRing("CM", cm)
+    if field.d != 1:
+        return EndRing("Z")
+    return EndRing("Z_sqrt2" if field.delta > 0 else "Z_sqrt6")
+
+
 def end_ring(c: Curve) -> EndRing:
-    """End(P)/Q: CM beats the sixth-power trichotomy Z[sqrt2]/Z[sqrt6]/Z."""
-    disc = cm_discriminant(c)
-    if disc is not None:
-        return EndRing("CM", disc)
-    delta = discriminant(c)
-    if is_nth_power(delta, 6) is not None:
-        return EndRing("Z_sqrt2")
-    if is_nth_power(-27 * delta, 6) is not None:
-        return EndRing("Z_sqrt6")
-    return EndRing("Z")
+    """End(P)/Q: CM beats the real-multiplication trichotomy Z[sqrt2]/Z[sqrt6]/Z."""
+    return end_ring_from(endo_field(c), cm_discriminant(c))
 
 
 def is_gl2_type(c: Curve) -> bool:
-    """True iff delta or -27*delta is a rational sixth power."""
-    delta = discriminant(c)
-    return is_nth_power(delta, 6) is not None or is_nth_power(-27 * delta, 6) is not None
+    """True iff d = 1, i.e. delta or -27*delta is a rational sixth power."""
+    return endo_field(c).d == 1
 
 
 def _require_simple(c: Curve) -> None:
@@ -141,7 +152,7 @@ def ns_rank(c: Curve) -> int:
 
 def sato_tate_label(c: Curve) -> Optional[str]:
     """"J(E_6)" for D6 Galois image, "J(E_3)" for D3; no label otherwise."""
-    return {"D6": "J(E_6)", "D3": "J(E_3)"}.get(endo_field(c).group_label)
+    return SATO_TATE_LABELS.get(endo_field(c).group_label)
 
 
 def elkies_t(j: RationalLike) -> Fraction:

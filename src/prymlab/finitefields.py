@@ -7,9 +7,13 @@ in base-p counter order and the first irreducible polynomial wins, so repeated
 runs on any machine agree.  For degree 2 and 3 irreducibility is just "no
 root in F_p".
 
-This module is the scalar reference implementation; the oracle keeps its own
-vectorized sweeps but uses the same modulus and reduction rows, and the two
-are compared against each other in the tests.
+There is one multiplication formula.  mul, digits and index use only +, *, %
+and //, so the oracle runs them unchanged on int64 numpy columns as well as on
+Python ints.  With reduced inputs every intermediate of mul stays below
+3p^3 + 3p^2 (the k = 3 case), which is under 2^63 for p < 1.4e6 -- far beyond
+any field whose sweep fits in memory.  The field axioms, x^(q-1) = 1 and the
+Frobenius fixed field are tested on the scalar path; the sweep is compared
+with brute-force counts in the tests.
 """
 
 from __future__ import annotations
@@ -91,11 +95,22 @@ class FiniteField:
 
     def decode(self, index: int) -> "FiniteFieldElement":
         """Inverse of encode: base-p digits of index are the coordinates."""
+        return FiniteFieldElement(self, self.digits(index))
+
+    def digits(self, index):
+        """Coordinates (c_0, ..., c_{k-1}) of an index: its base-p digits."""
         coords = []
         for _ in range(self.k):
             coords.append(index % self.p)
-            index //= self.p
-        return FiniteFieldElement(self, tuple(coords))
+            index = index // self.p  # not //=, which would overwrite an array argument
+        return tuple(coords)
+
+    def index(self, coords):
+        """Inverse of digits: sum(c_i * p^i) in [0, q)."""
+        idx = 0
+        for c in reversed(coords):
+            idx = idx * self.p + c
+        return idx
 
     def mul(self, x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, ...]:
         """Product of coordinate tuples, reduced by the modulus."""
@@ -140,10 +155,7 @@ class FiniteFieldElement:
 
     def encode(self) -> int:
         """Index sum(c_i * p^i) in [0, q)."""
-        idx = 0
-        for c in reversed(self.coords):
-            idx = idx * self.field.p + c
-        return idx
+        return self.field.index(self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -17,9 +17,10 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
   (reduction is injective on prime-to-p torsion, and p >= 5 > 3).
 
 Extension-field sweeps are vectorized with numpy over coordinate columns,
-chunked to bound memory; the scalar FiniteField class supplies the modulus and
-reduction rows so both paths agree by construction, and a naive double loop
-over (x, y) is kept as a second, independent counter for small p.
+chunked to bound memory.  They call FiniteField's mul and base-p digit coding
+directly on int64 columns, so there is one multiplication formula; its
+intermediates stay below 3p^3 + 3p^2 < 2^63 for every p < 1.4e6.  A naive
+double loop over (x, y) is kept as a second, independent counter for small p.
 
 The sweep size is capped: primes above PRYMLAB_PRIME_CAP (default 499, i.e.
 at most ~1.25e8 cubic-field elements) are refused with BadPrime.
@@ -74,16 +75,16 @@ class PrymCount:
     order: int
 
 
-def good_primes(c: Curve, count: int, minimum: int = 5) -> List[int]:
-    """First `count` primes p >= max(5, minimum) not dividing 6*Delta (integral model)."""
+def good_primes(c: Curve, count: int) -> List[int]:
+    """First `count` primes p >= 5 not dividing 6*Delta (integral model); none if count <= 0."""
     m = integral_model(c)
     bad = abs(int(6 * discriminant(m)))
     out: List[int] = []
-    for p in primes_from(max(5, minimum)):
+    primes = primes_from(5)
+    while len(out) < count:
+        p = next(primes)
         if bad % p != 0:
             out.append(p)
-            if len(out) == count:
-                break
     return out
 
 
@@ -131,46 +132,6 @@ def _count_prime_field(p: int, a: int, b: int) -> int:
     return affine
 
 
-def _mul_cols(field: FiniteField, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]):
-    # vectorized version of FiniteField.mul on int64 coordinate columns
-    p = field.p
-    if field.k == 2:
-        a0, a1 = xs
-        b0, b1 = ys
-        d2 = a1 * b1 % p
-        r0, r1 = field.red2
-        return [(a0 * b0 + d2 * r0) % p, (a0 * b1 + a1 * b0 + d2 * r1) % p]
-    a0, a1, a2 = xs
-    b0, b1, b2 = ys
-    d0 = a0 * b0 % p
-    d1 = (a0 * b1 + a1 * b0) % p
-    d2 = (a0 * b2 + a1 * b1 + a2 * b0) % p
-    d3 = (a1 * b2 + a2 * b1) % p
-    d4 = a2 * b2 % p
-    r3, r4 = field.red3, field.red4
-    return [
-        (d0 + d3 * r3[0] + d4 * r4[0]) % p,
-        (d1 + d3 * r3[1] + d4 * r4[1]) % p,
-        (d2 + d3 * r3[2] + d4 * r4[2]) % p,
-    ]
-
-
-def _decode_cols(idx: np.ndarray, p: int, k: int) -> List[np.ndarray]:
-    cols = []
-    rest = idx
-    for _ in range(k):
-        cols.append(rest % p)
-        rest = rest // p
-    return cols
-
-
-def _encode_cols(cols: Sequence[np.ndarray], p: int) -> np.ndarray:
-    idx = cols[-1].copy()
-    for col in reversed(cols[:-1]):
-        idx = idx * p + col
-    return idx
-
-
 def _count_extension(p: int, k: int, a: int, b: int) -> int:
     """Affine count over F_{p^k} (q = 1 mod 3 branch), numpy-chunked."""
     field = FiniteField(p, k)
@@ -178,20 +139,17 @@ def _count_extension(p: int, k: int, a: int, b: int) -> int:
     # pass 1: mark the image of cubing
     is_cube = np.zeros(q, dtype=bool)
     for lo in range(0, q, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64)
-        x = _decode_cols(idx, p, k)
-        x3 = _mul_cols(field, _mul_cols(field, x, x), x)
-        is_cube[_encode_cols(x3, p)] = True
+        x = field.digits(np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64))
+        is_cube[field.index(field.mul(field.mul(x, x), x))] = True
     # pass 2: classify f(x) = x^4 + a x^2 + b
     affine = 0
     for lo in range(0, q, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64)
-        x = _decode_cols(idx, p, k)
-        x2 = _mul_cols(field, x, x)
-        x4 = _mul_cols(field, x2, x2)
+        x = field.digits(np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64))
+        x2 = field.mul(x, x)
+        x4 = field.mul(x2, x2)
         f = [(x4[i] + a * x2[i]) % p for i in range(k)]
         f[0] = (f[0] + b) % p
-        enc = _encode_cols(f, p)
+        enc = field.index(f)
         zero = enc == 0
         affine += int(np.count_nonzero(zero))
         affine += 3 * int(np.count_nonzero(is_cube[enc] & ~zero))

@@ -24,17 +24,7 @@ from .curves import (
     is_special,
     j_invariant,
 )
-from .endomorphisms import (
-    cm_discriminant,
-    elkies_t,
-    end_ring,
-    endo_field,
-    is_gl2_type,
-    is_principally_polarizable,
-    ns_rank,
-    sato_tate_label,
-)
-from .errors import CMNotSupported
+from .endomorphisms import SATO_TATE_LABELS, cm_discriminant, elkies_t, end_ring_from, endo_field
 from .oracle import good_primes, prym_order
 from .rationals import format_rational
 from .torsion import torsion_group, torsion_to_dict
@@ -45,28 +35,26 @@ DEFAULT_ORACLE_PRIMES = 5
 def endo_profile(c: Curve) -> Dict:
     """The endomorphism profile as a JSON-ready dict.
 
+    Everything is derived from one endo_field and one cm_discriminant call.
     principally_polarizable and ns_rank are null for CM curves (their
     hypotheses fail); the Sato-Tate label depends only on the Galois label.
     """
     field = endo_field(c)
-    ring = end_ring(c)
-    try:
-        pp: Optional[bool] = is_principally_polarizable(c)
-        rank: Optional[int] = ns_rank(c)
-    except CMNotSupported:
-        pp = None
-        rank = None
+    cm = cm_discriminant(c)
+    ring = end_ring_from(field, cm)
+    gl2 = field.d == 1
+    simple = cm is None
     return {
         "delta": format_rational(field.delta),
         "d": field.d,
         "degree": field.degree,
         "group_label": field.group_label,
         "end_ring": ring.kind,
-        "cm_discriminant": cm_discriminant(c),
-        "gl2_type": is_gl2_type(c),
-        "principally_polarizable": pp,
-        "ns_rank": rank,
-        "sato_tate": sato_tate_label(c),
+        "cm_discriminant": cm,
+        "gl2_type": gl2,
+        "principally_polarizable": ring.kind == "Z_sqrt2" if simple else None,
+        "ns_rank": (2 if gl2 else 1) if simple else None,
+        "sato_tate": SATO_TATE_LABELS.get(field.group_label),
         "elkies_t": format_rational(elkies_t(j_invariant(c))),
     }
 

@@ -38,9 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
-from .curves import Curve, integral_model, sextic_twist
+from .curves import Curve, integral_model
 from .endomorphisms import EndRing, end_ring
 from .errors import InternalInconsistency
+from .factorization import valuation
 from .polynomials import IntPolynomial, biquadratic_roots, rational_roots
 from .rationals import format_rational, is_nth_power
 
@@ -122,28 +123,34 @@ def p_torsion_rank(c: Curve) -> Tuple[int, Set[Fraction]]:
     not split); 0 otherwise.  Witnesses are roots for the integral model.
     """
     m = integral_model(c)
-    f_roots = biquadratic_roots(m.a, m.b)
+    return _rank_from_roots(m.a, m.b)
+
+
+def _rank_from_roots(a: Fraction, b: Fraction) -> Tuple[int, Set[Fraction]]:
+    # p_torsion_rank for the curve (a, b) as given: the counts of rational
+    # roots of f and fhat, hence the rank, are unchanged by (l^6 a, l^12 b)
+    f_roots = biquadratic_roots(a, b)
     if len(f_roots) == 4:  # Delta != 0 makes f squarefree, so split <=> 4 roots
         return 2, f_roots
-    fhat_roots = biquadratic_roots(8 * m.a, 16 * (m.a * m.a - 4 * m.b))
+    fhat_roots = biquadratic_roots(8 * a, 16 * (a * a - 4 * b))
     witnesses = f_roots | fhat_roots
     return (1, witnesses) if witnesses else (0, witnesses)
 
 
 def three_part(c: Curve, oracle_bound: Optional[int] = None) -> ThreePartReport:
-    """Full 3-part: rank plus exactness status, optionally oracle-assisted."""
-    r, wits = p_torsion_rank(c)
-    r_twist, _ = p_torsion_rank(sextic_twist(c, -27))
+    """Full 3-part: rank plus exactness status, optionally oracle-assisted.
+
+    An oracle_bound of 0 (the gcd of no orders) carries no information.
+    """
+    m = integral_model(c)
+    r, wits = _rank_from_roots(m.a, m.b)
+    r_twist, _ = _rank_from_roots(-27 * m.a, 729 * m.b)  # the sextic twist by -27
     upper = min(2, r + r_twist)
     status = LOWER_BOUND
     if r == 2 or r_twist == 0:
         status = EXACT
-    if oracle_bound is not None:
-        v3 = 0
-        n = oracle_bound
-        while n % 3 == 0:
-            n //= 3
-            v3 += 1
+    if oracle_bound:
+        v3 = valuation(oracle_bound, 3)
         if v3 < r:
             raise InternalInconsistency(
                 f"oracle 3-part {v3} below proven rank {r} for {c}"
@@ -206,11 +213,7 @@ def end_module_structure(c: Curve) -> Optional[str]:
 
     None when End(P) is not Z[sqrt(2)] or Z[sqrt(6)].
     """
-    ring = end_ring(c)
-    if ring.kind not in _RM_MODULES:
-        return None
-    rep = torsion_group(c)
-    return rep.end_module
+    return torsion_group(c).end_module
 
 
 def torsion_to_dict(rep: TorsionReport) -> Dict:

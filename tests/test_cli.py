@@ -1,10 +1,16 @@
 """Command-line interface: verbs, schemas, exit codes, scan determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from prymlab.cli import main
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -99,6 +105,31 @@ def test_oracle_verb(capsys):
     assert data["gcd"] == 9
     assert [row["p"] for row in data["per_prime"]] == [5, 7]
     assert data["per_prime"][1]["prym_order"] == 63
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter; an input that never finishes raises TimeoutExpired."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prymlab.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_oracle_nonpositive_count_finishes(count):
+    proc = run_process("oracle", "3", "4", "--count", count)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"per_prime": [], "gcd": 0}
+
+
+def test_classify_empty_primes_finishes():
+    # the gcd of no orders is 0: no information, not an infinite 3-adic valuation
+    proc = run_process("classify", "3", "4", "--primes", "", "--json")
+    assert proc.returncode == 0
+    rec = json.loads(proc.stdout)
+    assert rec["oracle"] == {"per_prime": [], "gcd": 0}
+    assert rec["torsion"]["group"] == "Z/3" and rec["torsion"]["status"] == "exact"
 
 
 def test_oracle_bad_prime_exit_1(capsys):

@@ -1,11 +1,12 @@
 """Endomorphism field, CM table, end ring, Sato-Tate labels, Elkies map."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from prymlab.curves import bigonal_dual, j_invariant, new_curve, sextic_twist
+from prymlab.curves import bigonal_dual, discriminant, j_invariant, new_curve, sextic_twist
 from prymlab.endomorphisms import (
     CM_TABLE,
     cm_discriminant,
@@ -18,7 +19,9 @@ from prymlab.endomorphisms import (
     ns_rank,
     sato_tate_label,
 )
-from prymlab.errors import CMNotSupported
+from prymlab.errors import CMNotSupported, DegenerateParameters
+from prymlab.families import instantiate
+from prymlab.rationals import is_nth_power
 
 
 def _curve_with_j(j):
@@ -127,6 +130,48 @@ def test_end_ring_ladder():
     assert end_ring(c6).kind == "Z_sqrt6"
     # generic
     assert end_ring(new_curve(Fraction(3), Fraction(4))).kind == "Z"
+
+
+def _sixth_power_ring(c):
+    """Reference: End(P) by testing delta and -27*delta for sixth powers."""
+    disc = cm_discriminant(c)
+    if disc is not None:
+        return "CM"
+    delta = discriminant(c)
+    if is_nth_power(delta, 6) is not None:
+        return "Z_sqrt2"
+    if is_nth_power(-27 * delta, 6) is not None:
+        return "Z_sqrt6"
+    return "Z"
+
+
+def test_end_ring_matches_sixth_power_rule():
+    # end_ring and is_gl2_type read d = 1 and the sign of delta off endo_field
+    rng = random.Random(16)
+    curves = [_rand_curve(rng, span=60) for _ in range(1500)]
+    curves += [_curve_with_j(j) for j in CM_TABLE]
+    curves += [_curve_with_j(1 / j) for j in CM_TABLE if j != 1]
+
+    def rand_q():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+
+    draws = [("rm_sqrt2", ("t", "d")), ("rm_sqrt6", ("t", "d")),
+             ("gl2_sqrt2_F9", ("t",)), ("gl2_sqrt6_Z3", ("t",))]
+    for family_id, names in draws:
+        for _ in range(150):
+            try:
+                curves.append(instantiate(family_id, {n: rand_q() for n in names}))
+            except DegenerateParameters:
+                pass
+    kinds = Counter()
+    for c in curves:
+        expected = _sixth_power_ring(c)
+        delta = discriminant(c)
+        gl2 = is_nth_power(delta, 6) is not None or is_nth_power(-27 * delta, 6) is not None
+        assert end_ring(c).kind == expected, c
+        assert is_gl2_type(c) == gl2, c
+        kinds[expected] += 1
+    assert set(kinds) == {"Z", "Z_sqrt2", "Z_sqrt6", "CM"}
 
 
 def test_gl2_type():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from prymlab.finitefields import FiniteField, smallest_irreducible
@@ -50,6 +51,18 @@ def test_encode_decode_round_trip():
         field = FiniteField(p, k)
         for n in range(p**k):
             assert field.decode(n).encode() == n
+
+
+def test_int64_columns_match_scalar_path():
+    # the oracle runs digits, mul and index on numpy columns
+    for p, k in [(7, 2), (7, 3)]:
+        field = FiniteField(p, k)
+        idx = np.arange(field.q, dtype=np.int64)
+        cols = field.digits(idx)
+        assert np.array_equal(idx, np.arange(field.q))  # argument left intact
+        assert np.array_equal(field.index(cols), idx)
+        squares = field.index(field.mul(cols, cols))
+        assert squares.tolist() == [(x * x).encode() for x in map(field.decode, range(field.q))]
 
 
 def test_multiplicative_order():

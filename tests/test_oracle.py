@@ -60,10 +60,12 @@ def test_counts_match_naive():
 
 
 def test_extension_counts_match_brute_force():
-    # k = 2, brute force via a precomputed cube table over the tower field
-    for a, b, p in [(-5, 4, 7), (1, 1, 5), (3, 5, 7), (-2, 3, 13)]:
+    # brute force via a precomputed cube table over the tower field; the k = 3
+    # primes are 1 mod 3, so the vectorized sweep runs rather than q + 1
+    cases = [(-5, 4, 7, 2), (1, 1, 5, 2), (3, 5, 7, 2), (-2, 3, 13, 2),
+             (-5, 4, 7, 3), (3, 5, 7, 3), (-2, 3, 13, 3)]
+    for a, b, p, k in cases:
         c = _c(a, b)
-        k = 2
         field = FiniteField(p, k)
         q = p**k
         cubes = {}

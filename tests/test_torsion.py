@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymlab.curves import new_curve
+from prymlab.curves import new_curve, sextic_twist
 from prymlab.errors import InternalInconsistency
 from prymlab.torsion import (
     EXACT,
@@ -100,6 +100,34 @@ def test_three_part_oracle_contradiction():
     c = _c(3, 4)  # r = 1
     with pytest.raises(InternalInconsistency):
         three_part(c, oracle_bound=2)  # v_3(2) = 0 < 1
+
+
+def test_three_part_twist_rank_matches_integral_twist():
+    # three_part ranks the -27 twist of the integral model as given; the
+    # reference takes the twist of c and its own integral model
+    rng = random.Random(34)
+    ranks = set()
+    for _ in range(300):
+        u, w = rng.randint(1, 9), rng.randint(-20, 20)
+        lam = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        if w == 0 or w == u * u:
+            continue
+        # f = (x^2 - u^2)(x^2 - w) has rank >= 1; its rescaled -27 twist c
+        # has a -27 twist of the same rank, since 729 = 3^6
+        f = new_curve(-(u * u + w), u * u * w)
+        a = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+        b = Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+        plain = [] if b == 0 or a * a == 4 * b else [new_curve(a, b)]
+        for c in [sextic_twist(f, -27 * lam**6)] + plain:
+            rep = three_part(c)
+            assert rep.r_twist == p_torsion_rank(sextic_twist(c, -27))[0], c
+            ranks.add(rep.r_twist)
+    assert ranks == {0, 1, 2}
+
+
+def test_three_part_zero_oracle_bound_is_no_information():
+    for c in (_c(3, 4), _c(-5, 4)):
+        assert three_part(c, oracle_bound=0) == three_part(c)
 
 
 def test_p_torsion_rank():
