@@ -9,7 +9,8 @@ Verbs:
 * ``oracle a b [--primes ... | --count N]`` — point counts, L-data, gcd bound.
 * ``scan --box a=LO..HI b=LO..HI | --family ID --param k=LO..HI [--out F]
   [--jobs N]`` — batch classification to JSONL, deterministic order, resumable
-  (existing lines in --out are skipped), parallelizable.
+  (complete lines in --out are skipped, a cut last line is redone),
+  parallelizable.
 
 Rationals on the command line are "p/q" or "p".  Leading minus signs work
 ("classify -720 82944"); use ``--`` before a negative first argument if your
@@ -245,10 +246,16 @@ def _run_scan(ns: argparse.Namespace) -> int:
     close_sink = False
     if ns.out:
         try:
-            with open(ns.out, "r", encoding="utf-8") as existing:
-                skip = sum(1 for line in existing if line.strip())
+            # count complete lines only; a line cut mid-write is dropped and redone
+            with open(ns.out, "rb+") as existing:
+                end = 0
+                for line in existing:
+                    if line.endswith(b"\n"):
+                        end += len(line)
+                        skip += bool(line.strip())
+                existing.truncate(end)
         except FileNotFoundError:
-            skip = 0
+            pass
         sink = open(ns.out, "a", encoding="utf-8")
         close_sink = True
     work = work[skip:]

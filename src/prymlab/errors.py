@@ -53,7 +53,3 @@ class InternalInconsistency(PrymlabError):
 
 class WeilBoundViolation(InternalInconsistency):
     """Point counts produced an L-polynomial outside the Weil bounds."""
-
-
-class NonExactDivision(InternalInconsistency):
-    """L-polynomial of the curve was not divisible by the elliptic factor."""

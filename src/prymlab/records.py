@@ -25,7 +25,7 @@ from .curves import (
     j_invariant,
 )
 from .endomorphisms import SATO_TATE_LABELS, cm_discriminant, elkies_t, end_ring_from, endo_field
-from .oracle import good_primes, prym_order
+from .oracle import good_primes, prym_order, require_good_primes
 from .rationals import format_rational
 from .torsion import torsion_group, torsion_to_dict
 
@@ -60,7 +60,9 @@ def endo_profile(c: Curve) -> Dict:
 
 
 def oracle_summary(c: Curve, primes: Sequence[int]) -> Dict:
-    """Per-prime L-data and the gcd bound, as a JSON-ready dict."""
+    """Per-prime L-data and the gcd bound, as a JSON-ready dict; every prime is
+    checked before the first count."""
+    require_good_primes(c, primes)
     per_prime: List[Dict] = []
     bound = 0
     for p in primes:

@@ -227,8 +227,9 @@ def test_criterion_8_oracle_self_consistency():
         cs = lp.coeffs
         assert cs[4] == p * cs[2] and cs[5] == p * p * cs[1] and cs[6] == p**3
         assert cs[1] ** 2 <= 36 * p
-        pc = prym_order(c, p)  # raises NonExactDivision if L_E does not divide
-        # exact division cross-check: L_C = L_E * L_P
+        pc = prym_order(c, p)  # L_P from N_1, N_2 and #E(F_p); L_C = L_E * L_P
+        # the N_3 route is the independent reference for L_C = L_E * L_P
+        assert lp.coeffs == pc.l_c.coeffs
         prod = [0] * 7
         for i, u in enumerate(pc.l_e.coeffs):
             for k, v in enumerate(pc.l_p):

@@ -107,12 +107,14 @@ def test_oracle_verb(capsys):
     assert data["per_prime"][1]["prym_order"] == 63
 
 
-def run_process(*argv):
-    """The CLI in a fresh interpreter; an input that never finishes raises TimeoutExpired."""
+def run_process(*argv, **env):
+    """The CLI in a fresh interpreter, with `env` added to the environment; an
+    input that never finishes raises TimeoutExpired."""
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "prymlab.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -130,6 +132,14 @@ def test_classify_empty_primes_finishes():
     rec = json.loads(proc.stdout)
     assert rec["oracle"] == {"per_prime": [], "gcd": 0}
     assert rec["torsion"]["group"] == "Z/3" and rec["torsion"]["status"] == "exact"
+
+
+def test_oracle_prime_above_cap_refused_before_counting():
+    # good primes of C(3, 4) skip 7; the 14th is 61, the first above the cap
+    proc = run_process("oracle", "3", "4", "--count", "20", PRYMLAB_PRIME_CAP="60")
+    assert proc.returncode == 1
+    assert "p = 61 above enumeration cap 60" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_oracle_bad_prime_exit_1(capsys):
@@ -180,6 +190,24 @@ def test_scan_resume(capsys, tmp_path):
     code, _, _ = run(capsys, "scan", "--box", "a=-2..2", "b=1..3",
                      "--out", str(out_path))
     assert out_path.read_text() == full
+
+
+def test_scan_resume_after_cut_line(capsys, tmp_path):
+    out_path = tmp_path / "scan.jsonl"
+    args = ("scan", "--box", "a=1..2", "b=1..3", "--out", str(out_path))
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    full = out_path.read_text()
+    lines = full.splitlines(keepends=True)
+    # a scan killed while writing line 3 leaves it without its newline
+    out_path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    resumed = out_path.read_text()
+    assert [json.loads(line) for line in resumed.splitlines()] == [
+        json.loads(line) for line in lines
+    ]
+    assert resumed == full
 
 
 def test_scan_jobs_byte_identical(capsys, tmp_path):

@@ -1,12 +1,17 @@
 """Finite-field point counts, L-polynomials, Prym orders."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from prymlab import oracle, records
 from prymlab.curves import elliptic_quotients, new_curve
-from prymlab.errors import BadPrime, NonExactDivision, WeilBoundViolation
+from prymlab.errors import BadPrime, WeilBoundViolation
 from prymlab.finitefields import FiniteField
 from prymlab.oracle import (
     count_points_C,
@@ -105,6 +110,8 @@ def test_l_polynomial_functional_equation():
             assert cs[5] == p * p * cs[1]
             assert cs[6] == p**3
             assert cs[1] ** 2 <= 36 * p  # |c1| <= 2g sqrt(p)
+            # the N_3 route agrees with the product L_E * L_P built from N_1, N_2
+            assert lp.coeffs == prym_order(c, p).l_c.coeffs
 
 
 def test_weil_violation_artificial():
@@ -138,6 +145,10 @@ def test_prym_order_weil_interval():
             pc = prym_order(c, p)
             mid, spread = p * p + 6 * p + 1, 4 * (p + 1)
             assert (pc.order - mid) ** 2 <= spread * spread * p
+            # L_P's own functional equation and Weil bound |c1| <= 4 sqrt(p)
+            c0, c1, c2, c3, c4 = pc.l_p
+            assert c0 == 1 and c3 == p * c1 and c4 == p * p
+            assert c1 * c1 <= 16 * p
 
 
 def test_bad_primes():
@@ -176,6 +187,50 @@ def test_torsion_multiplicative_bound():
     c = _c(-5, 4)
     bound = torsion_multiplicative_bound(c, good_primes(c, 4))
     assert bound % 9 == 0  # (Z/3)^2 rational torsion divides every local order
+    with pytest.raises(BadPrime, match="need at least one good prime"):
+        torsion_multiplicative_bound(c, [])
+
+
+def test_torsion_multiplicative_bound_needs_a_prime_under_O():
+    # the check is not an assert, so python -O keeps it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from fractions import Fraction\n"
+        "from prymlab import BadPrime, new_curve, torsion_multiplicative_bound\n"
+        "try:\n"
+        "    torsion_multiplicative_bound(new_curve(Fraction(-5), Fraction(4)), [])\n"
+        "except BadPrime as exc:\n"
+        "    print('BadPrime:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BadPrime: need at least one good prime\n"
+
+
+@pytest.mark.parametrize("bad", [4, 7, 503])
+def test_prime_list_checked_before_any_count(monkeypatch, bad):
+    # C(3, 4) has Delta = -448 = -2^6 * 7: 4 is composite, 7 is bad, 503 is above the cap
+    real = oracle.prym_order
+    calls = []
+
+    def counting(c, p):
+        calls.append(p)
+        return real(c, p)
+
+    monkeypatch.delenv("PRYMLAB_PRIME_CAP", raising=False)
+    monkeypatch.setattr(oracle, "prym_order", counting)
+    monkeypatch.setattr(records, "prym_order", counting)
+    c = _c(3, 4)
+    with pytest.raises(BadPrime, match=f"p = {bad} "):
+        records.oracle_summary(c, [5, 11, bad])
+    with pytest.raises(BadPrime, match=f"p = {bad} "):
+        torsion_multiplicative_bound(c, [5, 11, bad])
+    assert calls == []
+    # the first bad prime in list order names the error
+    with pytest.raises(BadPrime, match="p = 503 above enumeration cap 499"):
+        records.oracle_summary(c, [5, 503, 7])
 
 
 def test_prym_order_divisibility_by_structural_torsion():
