@@ -9,8 +9,8 @@ Verbs:
 * ``oracle a b [--primes ... | --count N]`` — point counts, L-data, gcd bound.
 * ``scan --box a=LO..HI b=LO..HI | --family ID --param k=LO..HI [--out F]
   [--jobs N]`` — batch classification to JSONL, deterministic order, resumable
-  (complete lines in --out are skipped, a cut last line is redone),
-  parallelizable.
+  (complete lines in --out are skipped, a cut last line is redone, a file
+  written by a different scan is refused), parallelizable.
 
 Rationals on the command line are "p/q" or "p".  Leading minus signs work
 ("classify -720 82944"); use ``--`` before a negative first argument if your
@@ -25,6 +25,7 @@ fired, so the output cannot be trusted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -210,26 +211,42 @@ def _family_curves(family_id: str, param_specs: Sequence[str]) -> Iterator[Curve
     if missing:
         raise ValueError(f"family {spec.id}: missing --param for {missing}")
     # cartesian product in declared parameter order, each range ascending
-    def rec(index: int, chosen: Dict[str, Fraction]) -> Iterator[Curve]:
-        if index == len(spec.param_names):
-            try:
-                yield instantiate(spec.id, chosen)
-            except DegenerateParameters:
-                return
-            return
-        name = spec.param_names[index]
-        for value in ranges[name]:
-            chosen[name] = value
-            yield from rec(index + 1, chosen)
-        del chosen[name]
-
-    yield from rec(0, {})
+    for values in itertools.product(*(ranges[n] for n in spec.param_names)):
+        try:
+            yield instantiate(spec.id, dict(zip(spec.param_names, values)))
+        except DegenerateParameters:
+            continue
 
 
 def _record_worker(args: Tuple[str, str, bool]) -> str:
     a_text, b_text, with_oracle = args
     curve = new_curve(parse_rational(a_text), parse_rational(b_text))
     return json.dumps(classify_record(curve, with_oracle=with_oracle), sort_keys=True)
+
+
+def _resume_point(existing, work: Sequence[Tuple[str, str, bool]]) -> int:
+    # records of work already in the file; a cut last line is truncated, and a
+    # line that is not the record of the item at its position is refused
+    skip = end = 0
+    for line in existing:
+        if not line.endswith(b"\n"):
+            break
+        end += len(line)
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            a, b, with_oracle = work[skip]
+            same = (record["curve"] == {"a": a, "b": b}
+                    and (record["oracle"] is not None) == with_oracle)
+        except (ValueError, TypeError, KeyError, IndexError):
+            same = False
+        if not same:
+            raise ValueError(f"{existing.name} holds a different scan (record "
+                             f"{skip + 1} differs); refusing to resume it")
+        skip += 1
+    existing.truncate(end)
+    return skip
 
 
 def _run_scan(ns: argparse.Namespace) -> int:
@@ -246,14 +263,8 @@ def _run_scan(ns: argparse.Namespace) -> int:
     close_sink = False
     if ns.out:
         try:
-            # count complete lines only; a line cut mid-write is dropped and redone
             with open(ns.out, "rb+") as existing:
-                end = 0
-                for line in existing:
-                    if line.endswith(b"\n"):
-                        end += len(line)
-                        skip += bool(line.strip())
-                existing.truncate(end)
+                skip = _resume_point(existing, work)
         except FileNotFoundError:
             pass
         sink = open(ns.out, "a", encoding="utf-8")

@@ -22,12 +22,13 @@ curve's Jacobian and E, which is what the point-counting oracle exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .errors import DegenerateCurve, NotACube
-from .factorization import factor_integer, valuation
+from .factorization import factor_integer, power_primes, valuation
 from .polynomials import IntPolynomial
 from .rationals import RationalLike, format_rational, is_nth_power, parse_rational
 
@@ -126,29 +127,26 @@ def is_geometrically_isomorphic(c1: Curve, c2: Curve) -> bool:
     return j_invariant(c1) == j_invariant(c2)
 
 
-def _scaling_exponent(va: Optional[int], vb: int) -> int:
-    # largest e with p^e removable:  e = min(v(a)//6, v(b)//12); None = a is 0
-    if va is None:
-        return -(vb // 12)
-    return -min(va // 6, vb // 12)
-
-
 def integral_model(c: Curve) -> Curve:
     """The marked-isomorphic integer model with no prime having p^6 | a and p^12 | b.
 
-    The scale is a product over primes of the numerators/denominators of a and
-    b; floor-division of valuations gives the minimal exponent per prime.
+    The scale is prod p^-min(v_p(a)//6, v_p(b)//12) (v_p(b)//12 when a = 0):
+    only denominator primes, which are factored, and primes with p^12 |
+    gcd(num(a)^2, num(b)), found by `power_primes`, can have a nonzero exponent.
+    Rho is left with a denominator with two large prime factors and a gcd
+    cofactor >= 10^72.  A curve that is its own model is returned as is.
     """
-    primes = set()
-    for q in (c.a, c.b):
-        if q != 0:
-            primes.update(factor_integer(q.numerator))
-            primes.update(factor_integer(q.denominator))
+    primes = set(power_primes(math.gcd(c.a.numerator ** 2, c.b.numerator), 12))
+    for q in (c.a.denominator, c.b.denominator):
+        if q > 1:
+            primes.update(factor_integer(q))
     lam = Fraction(1)
-    for p in sorted(primes):
-        va = None if c.a == 0 else _valuation_q(c.a, p)
-        e = _scaling_exponent(va, _valuation_q(c.b, p))
-        lam *= Fraction(p) ** e
+    for p in primes:
+        vb = _valuation_q(c.b, p)
+        e = vb // 12 if c.a == 0 else min(_valuation_q(c.a, p) // 6, vb // 12)
+        lam /= Fraction(p) ** e
+    if lam == 1:
+        return c
     out = new_curve(lam ** 6 * c.a, lam ** 12 * c.b)
     assert out.a.denominator == 1 and out.b.denominator == 1
     return out

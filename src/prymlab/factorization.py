@@ -2,9 +2,12 @@
 
 Pipeline: trial division by a cached sieve up to 10^6, then Brent's variant of
 Pollard rho on what remains, with a Miller-Rabin primality check that is
-deterministic for n < 3.3 * 10^24 (fixed witness set).  The integers that
-actually reach rho here are constants of quartics coming from family
-instantiations — smooth products of small parameter values — so this is ample.
+deterministic for n < 3.3 * 10^24 (fixed witness set).
+
+Only denominators are factored in full: `curves.integral_model` finds the
+numerator primes it needs with `power_primes`, trial division up to the 12th
+root of a gcd.  Rho is left with a denominator with two large prime factors
+(cost ~ the square root of the smaller) and a gcd cofactor >= 10^72.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 
 def factor_integer(n: int) -> Dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
-    assert n != 0
+    if n == 0:
+        raise ValueError("cannot factor 0")
     n = abs(n)
     out: Dict[int, int] = {}
     for p in _sieve():
@@ -113,17 +117,27 @@ def factor_integer(n: int) -> Dict[int, int]:
     return out
 
 
-def divisors(n: int) -> List[int]:
-    """Sorted positive divisors of |n| (n nonzero)."""
-    divs = [1]
-    for p, e in factor_integer(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+def power_primes(n: int, k: int) -> List[int]:
+    """The primes p with p^k | n (n nonzero), increasing: trial division stops
+    at the first p with p^k above the cofactor left by smaller primes, and only
+    a cofactor of ~10^(6k) or more, left past the sieve, goes to factor_integer."""
+    if n == 0:
+        raise ValueError("power_primes of 0")
+    n, out = abs(n), []
+    for p in _sieve():
+        if p ** k > n:
+            return out
+        e = valuation(n, p)
+        n //= p ** e
+        if e >= k:
+            out.append(p)
+    return out + sorted(p for p, e in factor_integer(n).items() if e >= k)
 
 
 def valuation(n: int, p: int) -> int:
     """Exponent of p in nonzero n."""
-    assert n != 0 and p >= 2
+    if n == 0 or p < 2:
+        raise ValueError(f"valuation({n}, {p}) needs n != 0 and p >= 2")
     v = 0
     while n % p == 0:
         n //= p

@@ -25,17 +25,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .curves import Curve, new_curve
 from .errors import DegenerateCurve, DegenerateParameters, UnknownFamily
 from .rationals import RationalLike
+from .torsion import GROUP_NAMES
 
-# expected torsion containment expressed as the (m, n) pair of (Z/2)^m x (Z/3)^n
-_GROUPS = {
-    "trivial": (0, 0),
-    "Z/2": (1, 0),
-    "Z/3": (0, 1),
-    "Z/6": (1, 1),
-    "Z/2 x Z/2": (2, 0),
-    "Z/3 x Z/3": (0, 2),
-    "Z/6 x Z/3": (1, 2),
-}
+_SHAPES = {name: shape for shape, name in GROUP_NAMES.items()}  # name -> (m, n)
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,7 @@ def expected_torsion(family_id: str) -> str:
 
 def expected_torsion_shape(family_id: str) -> Tuple[int, int]:
     """The guarantee as the (m, n) exponent pair of (Z/2)^m x (Z/3)^n."""
-    return _GROUPS[expected_torsion(family_id)]
+    return _SHAPES[expected_torsion(family_id)]
 
 
 def _fmt_params(env: Mapping[str, Fraction]) -> str:

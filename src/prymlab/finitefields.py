@@ -157,9 +157,6 @@ class FiniteFieldElement:
         """Index sum(c_i * p^i) in [0, q)."""
         return self.field.index(self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __add__(self, other: "FiniteFieldElement") -> "FiniteFieldElement":
         assert self.field is other.field
         p = self.field.p

@@ -2,18 +2,18 @@
 
 Coefficients are stored lowest degree first.  Everything here serves quartics
 (x^4 + a x^2 + b and its dual) and the degree-4 lifting polynomial, so the
-representation stays dense and the root finder is plain rational-root-theorem
-enumeration over divisor pairs, each candidate verified by exact evaluation.
+representation stays dense.  The root finder factors nothing: it brackets the
+real roots of a monic rescaling by exact integer bisection and checks each
+candidate by exact evaluation, so its cost grows with the digits of the
+coefficients, not with how many divisors they have.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
-from .factorization import divisors
 from .rationals import RationalLike, is_nth_power
 
 
@@ -34,68 +34,54 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def __call__(self, x: RationalLike) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x: RationalLike) -> RationalLike:
+        acc = 0  # an int argument keeps the evaluation in int
         for c in reversed(self.coeffs):  # Horner
             acc = acc * x + c
         return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = str(mag)
-            else:
-                base = "x" if i == 1 else f"x^{i}"
-                term = base if mag == 1 else f"{mag}*{base}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, term))
-        sign0, term0 = parts[0]
-        text = ("-" if sign0 == "-" else "") + term0
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
 
 
 def rational_roots(p: IntPolynomial) -> Set[Fraction]:
     """Exactly the rational roots of nonzero p, each checked by evaluation.
 
-    Candidates u/v run over u | constant term, v | leading coefficient
-    (rational root theorem); a vanishing constant term contributes the root 0
-    and is stripped before enumeration.
+    A vanishing constant term contributes the root 0 and is stripped.  With
+    l the leading coefficient of the rest (degree n), the rational roots are
+    y/l for the integer roots y of the monic q(y) = l^(n-1) p(y/l), because a
+    root u/v in lowest terms has v | l.  Those integer roots are among the
+    floors of q's real roots, which lie inside its Cauchy bound and, by
+    Gauss-Lucas, so do the real roots of all of its derivatives.
     """
-    coeffs = list(p.coeffs)
-    assert coeffs, "zero polynomial"
-    roots: Set[Fraction] = set()
-    while coeffs[0] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return roots
-    const, lead = coeffs[0], coeffs[-1]
-    stripped = IntPolynomial.of(coeffs)
-    for u in divisors(const):
-        for v in divisors(lead):
-            for cand in (Fraction(u, v), Fraction(-u, v)):
-                if cand not in roots and stripped(cand) == 0:
-                    roots.add(cand)
+    if not p.coeffs:
+        raise ValueError("zero polynomial")
+    k = next(i for i, c in enumerate(p.coeffs) if c)  # p = x^k * (the rest)
+    coeffs, roots = p.coeffs[k:], ({Fraction(0)} if k else set())
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    q = IntPolynomial(tuple(c * lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])) + (1,))
+    bound = 1 + max((abs(c) for c in q.coeffs[:-1]), default=0)  # Cauchy
+    roots.update(Fraction(y, lead) for y in _real_root_brackets(q, bound) if q(y) == 0)
     return roots
 
 
-def rational_roots_scaled(coeffs: Sequence[RationalLike]) -> Set[Fraction]:
-    """Roots of a polynomial with rational coefficients (lowest degree first).
-
-    Clears denominators to an integer polynomial with the same root set.
-    """
-    fracs = [Fraction(c) for c in coeffs]
-    scale = math.lcm(*(c.denominator for c in fracs)) if fracs else 1
-    return rational_roots(IntPolynomial.of(int(c * scale) for c in fracs))
+def _real_root_brackets(q: IntPolynomial, bound: int) -> List[int]:
+    # Sorted integers holding the floor and the ceiling of every real root of
+    # q; the real roots of q and of its derivatives lie in (-bound, bound).
+    # Between consecutive brackets of q' more than 1 apart, q is strictly
+    # monotone, so a sign change there is one root, bisected to a unit
+    # interval.  A unit piece may hold two roots of q: keep both of its ends.
+    if q.degree < 1:
+        return []
+    dq = IntPolynomial(tuple(i * c for i, c in enumerate(q.coeffs))[1:])
+    ends = sorted({-bound, bound, *_real_root_brackets(dq, bound)})
+    out = set()
+    for lo, hi in zip(ends, ends[1:]):
+        v_lo, v_hi = q(lo), q(hi)
+        if v_lo * v_hi < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if q(mid) * v_lo > 0 else (lo, mid)
+        if hi - lo == 1 or v_lo * v_hi == 0:
+            out.update((lo, hi))
+    return sorted(out)
 
 
 def biquadratic_roots(a: RationalLike, b: RationalLike) -> Set[Fraction]:
@@ -103,9 +89,8 @@ def biquadratic_roots(a: RationalLike, b: RationalLike) -> Set[Fraction]:
 
     Substituting z = x^2 reduces to z^2 + a z + b = 0, so the roots are read
     off two exact square tests: a^2 - 4b must be a rational square, and each
-    quadratic root z must itself be a square.  Coefficients of astronomical
-    height (smooth family members) stay cheap this way, where the divisor walk
-    of rational_roots would blow up combinatorially.
+    quadratic root z must itself be a square: a few integer square roots,
+    cheap at any height.
     """
     a, b = Fraction(a), Fraction(b)
     disc = a * a - 4 * b

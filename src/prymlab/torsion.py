@@ -49,7 +49,7 @@ EXACT = "Exact"
 LOWER_BOUND = "LowerBound"
 
 # (m, n) -> printed group name
-_GROUP_NAMES = {
+GROUP_NAMES = {
     (0, 0): "trivial",
     (1, 0): "Z/2",
     (0, 1): "Z/3",
@@ -174,13 +174,13 @@ def torsion_group(c: Curve, oracle_bound: Optional[int] = None) -> TorsionReport
         # 2-torsion is twist-invariant and (Z/2)^2 x Z/3 is excluded, so a
         # maximal 2-part with any 3-part signal is impossible.
         raise InternalInconsistency(f"(Z/2)^2 with 3-part signal on {c}")
-    if (m, n) not in _GROUP_NAMES:
+    if (m, n) not in GROUP_NAMES:
         raise InternalInconsistency(f"group shape ({m}, {n}) off the list on {c}")
     ring = end_ring(c)
     module = _end_module_label(ring, m, n, c)
     return TorsionReport(
         invariant_factors=_invariant_factors(m, n),
-        group_name=_GROUP_NAMES[(m, n)],
+        group_name=GROUP_NAMES[(m, n)],
         status=three.status,
         two=two,
         three=three,

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, schemas, exit codes, scan determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,27 @@ def test_oracle_prime_above_cap_refused_before_counting():
     assert proc.stdout == ""
 
 
+# N is a product of two 13-digit primes and 6469693230 = 2*3*5*...*29: the
+# full-factoring integral model spent seconds in Pollard rho on N, and the
+# lifting quartic for b = 6469693230^3 walked the 78732 divisors of 3t^2.
+# The digests are sha256 of the --json lines that implementation printed.
+_N = str(1000000000039 * 3000000000013)
+_CLIFFS = [
+    ("0", _N, "8c23f1d23b7f2d2fb7869165bd5fa4a89f28e37ac55f42bcc3ed80221b776d76"),
+    ("5", _N, "ec936d3da396fa3ee93faab7c7705bd447d0f89b11d33ef30361fe22286b89fb"),
+    (_N, _N, "b623b9b46e7162b7dfc18fed8e1da2b9812a5981f0fa6b97ca5c78de8bd55dd8"),
+    ("7", str(6469693230 ** 3),
+     "4747f5ef0d22a6273e5dbd7736c05f3bae1aa50a7b3d90728f5aa7b1ce063225"),
+]
+
+
+@pytest.mark.parametrize("a, b, digest", _CLIFFS, ids=["0-N", "5-N", "N-N", "7-t^3"])
+def test_classify_cliff_inputs_finish(a, b, digest):
+    proc = run_process("classify", a, b, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_oracle_bad_prime_exit_1(capsys):
     code, _, err = run(capsys, "oracle", "-5", "4", "--primes", "4")
     assert code == 1
@@ -208,6 +230,24 @@ def test_scan_resume_after_cut_line(capsys, tmp_path):
         json.loads(line) for line in lines
     ]
     assert resumed == full
+
+
+def test_scan_refuses_a_different_scan(capsys, tmp_path):
+    out_path = tmp_path / "scan.jsonl"
+    code, _, _ = run(capsys, "scan", "--box", "a=1..2", "b=1..3", "--out", str(out_path))
+    assert code == 0
+    full = out_path.read_text()
+    for other in (["--box", "a=5..6", "b=1..3"],             # other curves
+                  ["--box", "a=1..2", "b=1..3", "--oracle"],  # oracle data wanted
+                  ["--box", "a=1..1", "b=1..3"]):             # fewer records than the file
+        code, _, err = run(capsys, "scan", *other, "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error:") and "different scan" in err
+        assert out_path.read_text() == full
+    # a longer scan with the same head still resumes
+    code, _, _ = run(capsys, "scan", "--box", "a=1..3", "b=1..3", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_text().startswith(full) and len(out_path.read_text().splitlines()) == 8
 
 
 def test_scan_jobs_byte_identical(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Curve model: invariants, duality, twists, isomorphism tests, models."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from prymlab.curves import (
     sextic_twist,
 )
 from prymlab.errors import DegenerateCurve, NotACube
+from prymlab.factorization import factor_integer, primes_from
 
 
 def _rand_curve(rng, span=30):
@@ -123,6 +125,62 @@ def test_integral_model_properties():
         # idempotent
         m2 = integral_model(m)
         assert (m2.a, m2.b) == (m.a, m.b)
+
+
+_factor = functools.lru_cache(maxsize=None)(factor_integer)
+
+
+def _integral_model_by_factoring(c):
+    # the reference: factor every numerator and denominator of a and b, and
+    # scale each prime p by -min(v_p(a) // 6, v_p(b) // 12)
+    def exponents(q):
+        out = dict(_factor(q.numerator))
+        for p, e in _factor(q.denominator).items():
+            out[p] = out.get(p, 0) - e
+        return out
+
+    ea = None if c.a == 0 else exponents(c.a)
+    eb = exponents(c.b)
+    lam = Fraction(1)
+    for p in set(eb) | set(ea or ()):
+        vb = eb.get(p, 0)
+        lam *= Fraction(p) ** -(vb // 12 if ea is None else min(ea.get(p, 0) // 6, vb // 12))
+    return new_curve(lam ** 6 * c.a, lam ** 12 * c.b)
+
+
+def test_integral_model_matches_full_factoring():
+    rng = random.Random(12)
+    primes = []
+    for p in primes_from(2):
+        if p > 10 ** 4:
+            break
+        primes.append(p)
+    curves = [_rand_curve(rng, span=10 ** 6) for _ in range(150)]
+    curves += [new_curve(0, Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 6)))
+               for _ in range(50)]
+    for _ in range(150):
+        base = _rand_curve(rng)
+        if rng.random() < 0.3:
+            base = new_curve(0, base.b)
+        lam = Fraction(1)
+        for p in rng.sample(primes, rng.randint(1, 4)):
+            lam *= Fraction(p) ** rng.choice([-3, -2, -1, 1, 2, 3])
+        curves.append(new_curve(lam ** 6 * base.a, lam ** 12 * base.b))
+    # products of two 13-digit primes, which the reference sends to Pollard rho
+    n = 1000000000039 * 3000000000013
+    curves += [new_curve(n, n), new_curve(0, n), new_curve(-3, n), new_curve(n, 7),
+               new_curve(Fraction(n, 2 ** 6), Fraction(n, 2 ** 12))]
+    for c in curves:
+        m = integral_model(c)
+        ref = _integral_model_by_factoring(c)
+        assert (m.a, m.b) == (ref.a, ref.b), c
+
+
+def test_integral_model_returns_its_own_model():
+    c = new_curve(3, 4)
+    assert integral_model(c) is c
+    m = integral_model(new_curve(Fraction(3, 64), Fraction(4, 4096)))
+    assert (m.a, m.b) == (3, 4)
 
 
 def test_quartics():

@@ -1,13 +1,21 @@
 """Integer factorization utilities."""
 
+import ast
+import inspect
 import math
 import random
+import sys
+from fractions import Fraction
 from itertools import islice
 
+import pytest
+
+from prymlab import classify_record, new_curve, polynomials
+from prymlab.errors import DegenerateCurve
 from prymlab.factorization import (
-    divisors,
     factor_integer,
     is_prime,
+    power_primes,
     primes_from,
     valuation,
 )
@@ -55,23 +63,32 @@ def test_factor_reassembles():
         assert prod == n
 
 
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(-12) == [1, 2, 3, 4, 6, 12]
-    rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randint(1, 10**6)
-        ds = divisors(n)
-        assert ds == sorted(ds) and all(n % d == 0 for d in ds)
-        assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0) if n < 2000 else True
-
-
 def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(-9, 3) == 2
     assert valuation(7, 5) == 0
+
+
+def test_input_checks():
+    for call in (lambda: factor_integer(0), lambda: valuation(0, 3),
+                 lambda: valuation(12, 1), lambda: power_primes(0, 12)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_power_primes():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.choice([-1, 1]) * math.prod(
+            rng.choice([2, 3, 5, 7, 11, 101, 9973]) ** rng.randint(0, 30) for _ in range(4))
+        k = rng.choice([1, 6, 12])
+        assert power_primes(n, k) == sorted(p for p, e in factor_integer(n).items() if e >= k)
+    assert power_primes(1, 12) == []
+    # a twelfth power of a prime above the sieve reaches factor_integer
+    big = 1000003
+    assert power_primes(big ** 12 * 5, 12) == [big]
+    assert power_primes(big ** 11 * 2 ** 13, 12) == [2]
 
 
 def test_primes_from():
@@ -83,3 +100,29 @@ def test_primes_from():
 
 def test_gcd_sanity():
     assert math.gcd(18, 63) == 9
+
+
+def test_integer_records_never_factor(monkeypatch):
+    # rebind factor_integer wherever prymlab holds it, as benchmarks/tracing.py does
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factor_integer(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prymlab") and vars(module).get("factor_integer") is factor_integer:
+            monkeypatch.setattr(module, "factor_integer", counting)
+    for a in range(-30, 31):
+        for b in range(1, 31):
+            try:
+                classify_record(new_curve(a, b))
+            except DegenerateCurve:
+                continue
+    classify_record(new_curve(3, 4), with_oracle=True)
+    assert calls == []
+    classify_record(new_curve(Fraction(1, 2), 3))  # a denominator is still factored
+    assert calls and set(calls) == {2}
+    imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(polynomials)))
+                if isinstance(node, ast.ImportFrom)}
+    assert "factorization" not in imported and "prymlab.factorization" not in imported

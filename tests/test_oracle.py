@@ -209,6 +209,25 @@ def test_torsion_multiplicative_bound_needs_a_prime_under_O():
     assert proc.stdout == "BadPrime: need at least one good prime\n"
 
 
+def test_factoring_input_checks_under_O():
+    # ValueError, not assert: under python -O an assert is gone and these loop
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab.factorization import factor_integer, valuation\n"
+        "for call in (lambda: factor_integer(0), lambda: valuation(0, 5),\n"
+        "             lambda: valuation(7, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError\n" * 3
+
+
 @pytest.mark.parametrize("bad", [4, 7, 503])
 def test_prime_list_checked_before_any_count(monkeypatch, bad):
     # C(3, 4) has Delta = -448 = -2^6 * 7: 4 is composite, 7 is bad, 503 is above the cap
