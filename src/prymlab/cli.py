@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .curves import Curve, bigonal_dual, curve_to_dict, new_curve, sextic_twist
+from .curves import Curve, bigonal_dual, curve_to_dict, integral_model, new_curve, sextic_twist
 from .errors import (
     BadPrime,
     DegenerateCurve,
@@ -306,10 +306,7 @@ def _run(ns: argparse.Namespace) -> int:
 
     if ns.verb == "twist":
         curve = new_curve(parse_rational(ns.a), parse_rational(ns.b))
-        delta = parse_rational(ns.delta)
-        if delta == 0:
-            raise ValueError("twist delta must be nonzero")
-        print(json.dumps(curve_to_dict(sextic_twist(curve, delta))))
+        print(json.dumps(curve_to_dict(sextic_twist(curve, parse_rational(ns.delta)))))
         return 0
 
     if ns.verb == "family":
@@ -332,7 +329,7 @@ def _run(ns: argparse.Namespace) -> int:
         return 0
 
     if ns.verb == "oracle":
-        curve = new_curve(parse_rational(ns.a), parse_rational(ns.b))
+        curve = integral_model(new_curve(parse_rational(ns.a), parse_rational(ns.b)))
         primes = _parse_primes(ns.primes)
         if primes is None:
             primes = good_primes(curve, ns.count)

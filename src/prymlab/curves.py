@@ -39,6 +39,7 @@ class Curve:
 
     a: Fraction
     b: Fraction
+    _is_model = False  # not a field: set by integral_model on what it returns
 
     def __str__(self) -> str:
         return f"C({format_rational(self.a)}, {format_rational(self.b)})"
@@ -99,7 +100,8 @@ def bigonal_dual(c: Curve) -> Curve:
 def sextic_twist(c: Curve, delta: RationalLike) -> Curve:
     """Twist (a, b) -> (delta*a, delta^2*b); delta != 0."""
     delta = Fraction(delta)
-    assert delta != 0
+    if delta == 0:
+        raise ValueError("twist delta must be nonzero")
     return new_curve(delta * c.a, delta * delta * c.b)
 
 
@@ -133,9 +135,13 @@ def integral_model(c: Curve) -> Curve:
     The scale is prod p^-min(v_p(a)//6, v_p(b)//12) (v_p(b)//12 when a = 0):
     only denominator primes, which are factored, and primes with p^12 |
     gcd(num(a)^2, num(b)), found by `power_primes`, can have a nonzero exponent.
-    Rho is left with a denominator with two large prime factors and a gcd
-    cofactor >= 10^72.  A curve that is its own model is returned as is.
+    The result is marked (not a field: ==, hash, repr ignore it) and a marked
+    curve is returned at once: a model is its own fixed point, and a layer
+    handed one does not normalize it again.  An unmarked input, even its own
+    model, gets a new marked curve; nothing is stored on the caller's object.
     """
+    if c._is_model:
+        return c
     primes = set(power_primes(math.gcd(c.a.numerator ** 2, c.b.numerator), 12))
     for q in (c.a.denominator, c.b.denominator):
         if q > 1:
@@ -145,10 +151,10 @@ def integral_model(c: Curve) -> Curve:
         vb = _valuation_q(c.b, p)
         e = vb // 12 if c.a == 0 else min(_valuation_q(c.a, p) // 6, vb // 12)
         lam /= Fraction(p) ** e
-    if lam == 1:
-        return c
-    out = new_curve(lam ** 6 * c.a, lam ** 12 * c.b)
+    # smooth, since c is
+    out = Curve(c.a, c.b) if lam == 1 else Curve(lam ** 6 * c.a, lam ** 12 * c.b)
     assert out.a.denominator == 1 and out.b.denominator == 1
+    object.__setattr__(out, "_is_model", True)
     return out
 
 

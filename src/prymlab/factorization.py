@@ -1,13 +1,15 @@
 """Integer factorization and primality.
 
-Pipeline: trial division by a cached sieve up to 10^6, then Brent's variant of
-Pollard rho on what remains, with a Miller-Rabin primality check that is
-deterministic for n < 3.3 * 10^24 (fixed witness set).
+Pipeline: trial division by a cached sieve up to 10^6, then a perfect-power
+check (r^e is factored as r) and Brent's variant of Pollard rho on what
+remains, with a Miller-Rabin primality check that is deterministic for
+n < 3.3 * 10^24 (fixed witness set).
 
 Only denominators are factored in full: `curves.integral_model` finds the
 numerator primes it needs with `power_primes`, trial division up to the 12th
-root of a gcd.  Rho is left with a denominator with two large prime factors
-(cost ~ the square root of the smaller) and a gcd cofactor >= 10^72.
+root of a gcd, once per record.  Residual rho cliffs: a denominator or gcd
+cofactor (>= 10^72) that is no perfect power and has two primes above 10^6
+(cost ~ the square root of the smaller).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Dict, Iterator, List
+
+from .rationals import integer_nth_root
 
 _SIEVE_LIMIT = 10 ** 6
 _small_primes: List[int] = []
@@ -105,15 +109,22 @@ def factor_integer(n: int) -> Dict[int, int]:
     if n == 1:
         return out
     rng = random.Random(n)  # deterministic per input
-    stack = [n]
+    stack = [(n, 1)]  # (cofactor, multiplicity)
     while stack:
-        m = stack.pop()
+        m, k = stack.pop()
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + k
             continue
-        d = _brent_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
+        # m = r^e, e largest: every prime of m exceeds 10^6 > 2^19, so 2^(19e) < m
+        for e in range((m.bit_length() - 1) // 19, 1, -1):
+            r = integer_nth_root(m, e)
+            if r ** e == m:
+                stack.append((r, k * e))
+                break
+        else:
+            d = _brent_rho(m, rng)
+            stack.append((d, k))
+            stack.append((m // d, k))
     return out
 
 

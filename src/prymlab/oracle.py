@@ -37,7 +37,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .curves import Curve, EllipticModel, discriminant, elliptic_quotients, integral_model
+from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
 from .errors import BadPrime, WeilBoundViolation
 from .factorization import is_prime, primes_from
 from .finitefields import FiniteField
@@ -78,8 +78,7 @@ class PrymCount:
 
 def good_primes(c: Curve, count: int) -> List[int]:
     """First `count` primes p >= 5 not dividing 6*Delta (integral model); none if count <= 0."""
-    m = integral_model(c)
-    bad = abs(int(6 * discriminant(m)))
+    bad = _six_delta(integral_model(c))
     out: List[int] = []
     primes = primes_from(5)
     while len(out) < count:
@@ -95,10 +94,16 @@ def _reduce_fraction(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
+def _six_delta(m: Curve) -> int:
+    # 6*Delta = 96*b*(a^2 - 4b) of an integral model, in ints
+    a, b = int(m.a), int(m.b)
+    return 96 * b * (a * a - 4 * b)
+
+
 def _require_good(m: Curve, p: int) -> None:
     if p < 5 or not is_prime(p):
         raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
-    if int(6 * discriminant(m)) % p == 0:
+    if _six_delta(m) % p == 0:
         raise BadPrime(f"p = {p} divides 6*Delta")
     if p > _prime_cap():
         raise BadPrime(f"p = {p} above enumeration cap {_prime_cap()}")
@@ -112,8 +117,9 @@ def require_good_primes(c: Curve, primes: Sequence[int]) -> None:
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
-    """#C(F_{p^k}) including the point at infinity."""
-    assert k in (1, 2, 3)
+    """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3."""
+    if k not in (1, 2, 3):
+        raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
     m = integral_model(c)
     _require_good(m, p)
     q = p ** k
@@ -258,5 +264,6 @@ def torsion_multiplicative_bound(c: Curve, primes: Sequence[int]) -> int:
     """gcd of #P(F_p) over the given good primes; |P(Q)_tors| divides it."""
     if not primes:
         raise BadPrime("need at least one good prime")
-    require_good_primes(c, primes)
-    return math.gcd(*(prym_order(c, p).order for p in primes))
+    m = integral_model(c)
+    require_good_primes(m, primes)
+    return math.gcd(*(prym_order(m, p).order for p in primes))

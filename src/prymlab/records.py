@@ -21,6 +21,7 @@ from .curves import (
     bigonal_dual,
     curve_to_dict,
     discriminant,
+    integral_model,
     is_special,
     j_invariant,
 )
@@ -62,11 +63,12 @@ def endo_profile(c: Curve) -> Dict:
 def oracle_summary(c: Curve, primes: Sequence[int]) -> Dict:
     """Per-prime L-data and the gcd bound, as a JSON-ready dict; every prime is
     checked before the first count."""
-    require_good_primes(c, primes)
+    m = integral_model(c)
+    require_good_primes(m, primes)
     per_prime: List[Dict] = []
     bound = 0
     for p in primes:
-        pc = prym_order(c, p)
+        pc = prym_order(m, p)
         per_prime.append(
             {
                 "p": p,
@@ -87,15 +89,18 @@ def classify_record(
     """Full record for one curve; oracle data included on request.
 
     Explicit primes imply the oracle; with_oracle alone selects the first
-    DEFAULT_ORACLE_PRIMES good primes from 5 upward.
+    DEFAULT_ORACLE_PRIMES good primes from 5 upward.  The curve is normalized
+    once; the oracle and torsion layers get its integral model, the printed
+    invariants and the endomorphism profile the curve as given.
     """
+    m = integral_model(c)
     summary = None
     bound = None
     if with_oracle or primes is not None:
-        chosen = list(primes) if primes is not None else good_primes(c, DEFAULT_ORACLE_PRIMES)
-        summary = oracle_summary(c, chosen)
+        chosen = list(primes) if primes is not None else good_primes(m, DEFAULT_ORACLE_PRIMES)
+        summary = oracle_summary(m, chosen)
         bound = summary["gcd"]
-    torsion = torsion_group(c, oracle_bound=bound)
+    torsion = torsion_group(m, oracle_bound=bound)
     return {
         "curve": curve_to_dict(c),
         "j": format_rational(j_invariant(c)),

@@ -167,8 +167,9 @@ def three_part(c: Curve, oracle_bound: Optional[int] = None) -> ThreePartReport:
 
 def torsion_group(c: Curve, oracle_bound: Optional[int] = None) -> TorsionReport:
     """Assemble the full torsion group and check it against the classification."""
-    two = two_torsion(c)
-    three = three_part(c, oracle_bound)
+    model = integral_model(c)
+    two = two_torsion(model)
+    three = three_part(model, oracle_bound)
     m, n = two.rank, three.r
     if m == 2 and (three.r != 0 or three.r_twist != 0):
         # 2-torsion is twist-invariant and (Z/2)^2 x Z/3 is excluded, so a

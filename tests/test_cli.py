@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from prymlab.cli import main
+from prymlab.curves import integral_model, new_curve
+from prymlab.oracle import prym_order
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -162,6 +165,36 @@ def test_classify_cliff_inputs_finish(a, b, digest):
     proc = run_process("classify", a, b, "--json")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+# (1/N, 1) has the integral model (N^5, N^12), whose gcd cofactor N^10 sent
+# every normalization to rho; the digests are the ones the implementation
+# before the perfect-power step printed, after minutes in rho.
+_NORMALIZATION_CLIFFS = [
+    ("1/" + _N, "1", "6c62af341cdf758099b4211eaad4530e938b67eb7e5da69c182ae85c8262a9a2"),
+    (str(int(_N) ** 5), str(int(_N) ** 12),
+     "489a90ea5693a16152d39608f37b08b4f3fd7b3e546b8e482ecb63b0515c8ac7"),
+]
+
+
+@pytest.mark.parametrize("a, b, digest", _NORMALIZATION_CLIFFS, ids=["1/N-1", "N^5-N^12"])
+def test_classify_normalization_cliffs_finish(a, b, digest):
+    proc = run_process("classify", a, b, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_classify_oracle_on_a_large_denominator_finishes():
+    proc = run_process("classify", "1/" + _N, "1", "--oracle", "--json")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["oracle"]["per_prime"]
+    m = integral_model(new_curve(Fraction(1, int(_N)), 1))
+    assert (m.a, m.b) == (int(_N) ** 5, int(_N) ** 12)
+    assert len(rows) == 5
+    for row in rows:
+        pc = prym_order(m, row["p"])
+        assert row == {"p": pc.p, "l_c": list(pc.l_c.coeffs), "l_e": list(pc.l_e.coeffs),
+                       "prym_order": pc.order}
 
 
 def test_oracle_bad_prime_exit_1(capsys):

@@ -1,11 +1,15 @@
 """Curve model: invariants, duality, twists, isomorphism tests, models."""
 
+import dataclasses
 import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from prymlab import classify_record, curves
+from prymlab.cli import main
 from prymlab.curves import (
     bigonal_dual,
     curve_from_dict,
@@ -24,7 +28,7 @@ from prymlab.curves import (
     sextic_twist,
 )
 from prymlab.errors import DegenerateCurve, NotACube
-from prymlab.factorization import factor_integer, primes_from
+from prymlab.factorization import factor_integer, power_primes, primes_from
 
 
 def _rand_curve(rng, span=30):
@@ -122,9 +126,11 @@ def test_integral_model_properties():
         m = integral_model(c)
         assert m.a.denominator == 1 and m.b.denominator == 1
         assert is_isomorphic_marked(c, m) is not None
-        # idempotent
+        # idempotent, also when the model is normalized again from scratch
         m2 = integral_model(m)
         assert (m2.a, m2.b) == (m.a, m.b)
+        m3 = integral_model(new_curve(m.a, m.b))
+        assert (m3.a, m3.b) == (m.a, m.b)
 
 
 _factor = functools.lru_cache(maxsize=None)(factor_integer)
@@ -178,9 +184,52 @@ def test_integral_model_matches_full_factoring():
 
 def test_integral_model_returns_its_own_model():
     c = new_curve(3, 4)
-    assert integral_model(c) is c
+    m = integral_model(c)
+    assert m == c and integral_model(m) is m
     m = integral_model(new_curve(Fraction(3, 64), Fraction(4, 4096)))
     assert (m.a, m.b) == (3, 4)
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """The numbers rebound curves.power_primes is called on: one per full
+    run of integral_model's algorithm."""
+    calls = []
+
+    def counting(n, k):
+        calls.append(n)
+        return power_primes(n, k)
+
+    monkeypatch.setattr(curves, "power_primes", counting)
+    return calls
+
+
+def test_integral_model_is_marked_not_stored_on_inputs(normalizations):
+    m = integral_model(new_curve(Fraction(1, 2), Fraction(1, 3)))
+    assert integral_model(m) is m and len(normalizations) == 1
+    c = new_curve(3, 4)  # its own model
+    m = integral_model(c)
+    assert m is not c and m == c
+    assert hash(m) == hash(c) and repr(m) == repr(c) and str(m) == str(c)
+    assert curve_to_dict(m) == curve_to_dict(c)
+    assert [f.name for f in dataclasses.fields(m)] == ["a", "b"]
+    integral_model(c)  # c stays unmarked: a full normalization again
+    assert len(normalizations) == 3
+    integral_model(dataclasses.replace(m))  # so does a copy of a model
+    assert len(normalizations) == 4
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize("a, b", [(3, 4), (Fraction(1, 2), Fraction(1, 3))])
+def test_one_normalization_per_record(normalizations, a, b, with_oracle):
+    classify_record(new_curve(a, b), with_oracle=with_oracle)
+    assert len(normalizations) == 1
+
+
+def test_one_normalization_per_oracle_verb(normalizations, capsys):
+    assert main(["oracle", "1/2", "1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_prime"]
+    assert len(normalizations) == 1
 
 
 def test_quartics():

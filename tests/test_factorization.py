@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from prymlab import classify_record, new_curve, polynomials
+from prymlab import classify_record, factorization, new_curve, polynomials
 from prymlab.errors import DegenerateCurve
 from prymlab.factorization import (
     factor_integer,
@@ -96,6 +96,25 @@ def test_primes_from():
     assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert list(islice(primes_from(90), 3)) == [97, 101, 103]
     assert next(primes_from(5)) == 5
+
+
+def test_factor_perfect_power():
+    # rho runs on N, not on the 800-bit N^10
+    n = 1000000000039 * 3000000000013
+    assert factor_integer(n ** 10) == {1000000000039: 10, 3000000000013: 10}
+    assert factor_integer(2 ** 5 * (1000003 * 1000033) ** 6) == {2: 5, 1000003: 6, 1000033: 6}
+
+
+def test_prime_powers_past_the_sieve_skip_rho(monkeypatch):
+    # 1000003 is the first prime past the sieve; 1000003^20 has 399 bits, so
+    # the exponent search must reach e = 20 at that length
+    def no_rho(n, rng):
+        raise AssertionError(f"rho on {n}")
+
+    monkeypatch.setattr(factorization, "_brent_rho", no_rho)
+    for e in (2, 3, 19, 20, 21, 40):
+        assert factor_integer(1000003 ** e) == {1000003: e}
+    assert factor_integer(1000003 ** 12 * 30) == {2: 1, 3: 1, 5: 1, 1000003: 12}
 
 
 def test_gcd_sanity():

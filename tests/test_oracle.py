@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from prymlab import oracle, records
-from prymlab.curves import elliptic_quotients, new_curve
+from prymlab.curves import elliptic_quotients, new_curve, sextic_twist
 from prymlab.errors import BadPrime, WeilBoundViolation
 from prymlab.finitefields import FiniteField
 from prymlab.oracle import (
@@ -226,6 +226,36 @@ def test_factoring_input_checks_under_O():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ValueError\n" * 3
+
+
+def test_caller_input_checks_under_O():
+    # a bad k or twist delta is a ValueError naming it, also under python -O
+    c = _c(3, 4)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            count_points_C(c, 5, k)
+    with pytest.raises(ValueError, match="delta"):
+        sextic_twist(c, 0)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab import count_points_C, new_curve, sextic_twist\n"
+        "c = new_curve(3, 4)\n"
+        "for call in (lambda: count_points_C(c, 5, 4), lambda: count_points_C(c, 5, 0),\n"
+        "             lambda: sextic_twist(c, 0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ValueError: count_points_C needs k in (1, 2, 3), got 4\n"
+        "ValueError: count_points_C needs k in (1, 2, 3), got 0\n"
+        "ValueError: twist delta must be nonzero\n"
+    )
 
 
 @pytest.mark.parametrize("bad", [4, 7, 503])
