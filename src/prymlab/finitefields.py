@@ -27,7 +27,8 @@ from .factorization import is_prime
 def smallest_irreducible(p: int, k: int) -> Tuple[int, ...]:
     """Low coefficients (c_0, ..., c_{k-1}) of the first irreducible monic
     z^k + c_{k-1} z^{k-1} + ... + c_0 in counter order over (c_{k-1},...,c_0)."""
-    assert k in (2, 3)
+    if k not in (2, 3):
+        raise ValueError(f"smallest_irreducible needs k in (2, 3), got {k}")
     for n in range(p ** k):
         digits = []
         rest = n
@@ -55,8 +56,10 @@ class FiniteField:
     """F_{p^k} with fixed modulus; provides exact tuple arithmetic."""
 
     def __init__(self, p: int, k: int):
-        assert k in (1, 2, 3)
-        assert p >= 5 and is_prime(p)
+        if k not in (1, 2, 3):
+            raise ValueError(f"FiniteField needs k in (1, 2, 3), got {k}")
+        if p < 5 or not is_prime(p):
+            raise ValueError(f"FiniteField needs a prime p >= 5, got {p}")
         self.p = p
         self.k = k
         self.q = p ** k

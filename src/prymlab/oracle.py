@@ -11,17 +11,22 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
   q + 1 with no enumeration at all.
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
 * L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
-* The Prym quartic L_P from N_1, N_2 and #E(F_p): Jac(C) ~ E x P, so
-  s_k(P) = s_k(C) - s_k(E) fixes the genus-2 L_P, and L_C = L_E * L_P is a
-  product.  L_P(1) = #P(F_p), which every rational torsion subgroup divides
-  (reduction is injective on prime-to-p torsion, and p >= 5 > 3).  The
-  F_{p^3} sweep only serves the tests: its N_3 gives an independent L_C.
+* The Prym quartic L_P from its power sums s_1, s_2, and L_C = L_E * L_P as
+  a product (Jac(C) ~ E x P).  At p = 1 mod 3 the s_k(P) come from one O(p)
+  pass of cubic character sums over F_p, with no extension field (see
+  `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when the
+  character sum d1 vanishes, s_k(P) = s_k(C) - s_k(E) is read off N_1,
+  #E(F_p) and the F_{p^2} sweep for N_2.  L_P(1) = #P(F_p), which every
+  rational torsion subgroup divides (reduction is injective on prime-to-p
+  torsion, and p >= 5 > 3).  The F_{p^3} sweep only serves the tests: its
+  N_3 gives an independent L_C.
 
-Extension-field sweeps are vectorized with numpy over coordinate columns,
-chunked to bound memory.  They call FiniteField's mul and base-p digit coding
-directly on int64 columns, so there is one multiplication formula; its
-intermediates stay below 3p^3 + 3p^2 < 2^63 for every p < 1.4e6.  A naive
-double loop over (x, y) is kept as a second, independent counter for small p.
+Extension-field sweeps (k = 2, 3) are vectorized with numpy over coordinate
+columns, chunked to bound memory.  They call FiniteField's mul and base-p
+digit coding directly on int64 columns, so there is one multiplication
+formula; its intermediates stay below 3p^3 + 3p^2 < 2^63 for every
+p < 1.4e6.  A naive double loop over (x, y) is kept as a second, independent
+counter for small p.
 
 The sweep size is capped: primes above PRYMLAB_PRIME_CAP (default 499) are
 refused with BadPrime.
@@ -33,12 +38,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
-from .errors import BadPrime, WeilBoundViolation
+from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from .factorization import is_prime, primes_from
 from .finitefields import FiniteField
 
@@ -194,15 +199,20 @@ def count_points_E(e: EllipticModel, p: int) -> int:
         raise BadPrime(f"p = {p} divides 6c in y^2 = x^3 + c")
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
+    roots = _square_root_counts(p)
     count = 1  # infinity
-    half = (p - 1) // 2
     for x in range(p):
-        v = (x * x % p * x + c) % p
-        if v == 0:
-            count += 1
-        else:
-            count += 2 if pow(v, half, p) == 1 else 0
+        count += roots[(x * x % p * x + c) % p]
     return count
+
+
+def _square_root_counts(p: int) -> bytearray:
+    """Entry v is the number of y in F_p with y^2 = v: 1 at 0, 2 at a nonzero square."""
+    roots = bytearray(p)
+    roots[0] = 1
+    for y in range(1, (p + 1) // 2):
+        roots[y * y % p] = 2
+    return roots
 
 
 def _from_power_sums(s: Sequence[int], p: int, genus: int) -> LPolynomial:
@@ -236,16 +246,74 @@ def l_polynomial(counts: Sequence[int], p: int, genus: int) -> LPolynomial:
     return _from_power_sums([p ** k + 1 - n for k, n in enumerate(counts, 1)], p, genus)
 
 
+def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int]]:
+    """[s_1(P), s_2(P)] at p = 1 mod 3 from cubic character sums; None when d1 = 0.
+
+    chi is the cubic character with chi(r) = w for the least non-cube r, w a
+    primitive cube root of unity in Z[w]; x + y w is stored as (x, y).  With
+    g(u) = u^2 + a u + b, f(x) = g(x^2) and E isomorphic to y^3 = g(u):
+    S_E = sum_u chi(g(u)) and S_C = sum_x chi(f(x)) = sum_u #{x: x^2 = u} chi(g(u)).
+    The mu_3-action splits Jac(C) ~ E x P, so Frobenius on the chi-part of P
+    has trace -d1, d1 = S_C - S_E, and determinant d2; the complex
+    conjugates of its eigenvalues are p over them, so conj(d1) = p d1 / d2 and
+    d2 = p d1^2 / N(d1).  Then s_1 = -Tr(d1) and s_2 = Tr(d1^2 - 2 d2) with
+    Tr(x + y w) = 2x - y.  d1 = 0 leaves d2 open.  The same pass gives
+    #E(F_p) = p + 1 + Tr(S_E), checked against n_e.  (Ireland-Rosen, ch. 8
+    and 10, count y^m = f(x) by such character sums.)
+    """
+    # cls[v] = i for v in r^i (F_p^*)^3; 3 marks v = 0, which chi skips
+    r = 2
+    while pow(r, (p - 1) // 3, p) == 1:
+        r += 1
+    cls = bytearray([2]) * p
+    cls[0] = 3
+    for z in range(1, p):
+        t = z * z * z % p
+        cls[t] = 0
+        cls[t * r % p] = 1
+    roots = _square_root_counts(p)
+    n_c = [0, 0, 0, 0]
+    n_e_cls = [0, 0, 0, 0]
+    for u in range(p):
+        i = cls[(u * (u + a) + b) % p]
+        n_c[i] += roots[u]
+        n_e_cls[i] += 1
+    # S = n_0 + n_1 w + n_2 w^2 = (n_0 - n_2) + (n_1 - n_2) w, since w^2 = -1 - w
+    e0, e1 = n_e_cls[0] - n_e_cls[2], n_e_cls[1] - n_e_cls[2]
+    if p + 1 + 2 * e0 - e1 != n_e:
+        raise InternalInconsistency(
+            f"#E(F_p) = {n_e} but the cubic character sum gives {p + 1 + 2 * e0 - e1} at p={p}"
+        )
+    x, y = n_c[0] - n_c[2] - e0, n_c[1] - n_c[2] - e1  # d1 = x + y w
+    if x == y == 0:
+        return None
+    sq = (x * x - y * y, 2 * x * y - y * y)  # d1^2
+    norm = x * x - x * y + y * y
+    if (p * sq[0]) % norm or (p * sq[1]) % norm:
+        raise WeilBoundViolation(f"p*d1^2 not divisible by N(d1) = {norm} at p={p}")
+    d2 = (p * sq[0] // norm, p * sq[1] // norm)
+    return [y - 2 * x, 2 * (sq[0] - 2 * d2[0]) - (sq[1] - 2 * d2[1])]
+
+
 def prym_order(c: Curve, p: int) -> PrymCount:
-    """#P(F_p) = L_P(1); L_P from s_k(P) = s_k(C) - s_k(E), k = 1, 2, and L_C = L_E * L_P."""
+    """#P(F_p) = L_P(1) from the power sums s_k(P), k = 1, 2, and L_C = L_E * L_P.
+
+    At p = 1 mod 3 the s_k(P) come from one O(p) pass of cubic character sums
+    over F_p.  At p = 2 mod 3, and when that pass finds d1 = 0, they are
+    s_k(P) = s_k(C) - s_k(E), read off N_1, #E(F_p) and the F_{p^2} sweep
+    N_2 = count_points_C(m, p, 2).
+    """
     m = integral_model(c)
     _require_good(m, p)
-    l_e = l_polynomial([count_points_E(elliptic_quotients(m)[0], p)], p, 1)
-    s_e = -l_e.coeffs[1]
-    s1 = p + 1 - count_points_C(m, p, 1) - s_e
-    # s_2(E) = s_E^2 - 2p: the two roots of L_E multiply to p
-    s2 = p * p + 1 - count_points_C(m, p, 2) - (s_e * s_e - 2 * p)
-    l_p = _from_power_sums([s1, s2], p, 2).coeffs
+    n_e = count_points_E(elliptic_quotients(m)[0], p)
+    l_e = l_polynomial([n_e], p, 1)
+    s = _character_power_sums(p, int(m.a) % p, int(m.b) % p, n_e) if p % 3 == 1 else None
+    if s is None:
+        s_e = -l_e.coeffs[1]
+        # s_2(E) = s_E^2 - 2p: the two roots of L_E multiply to p
+        s = [p + 1 - count_points_C(m, p, 1) - s_e,
+             p * p + 1 - count_points_C(m, p, 2) - (s_e * s_e - 2 * p)]
+    l_p = _from_power_sums(s, p, 2).coeffs
     l_c = [0] * 7
     for i, u in enumerate(l_e.coeffs):
         for j, v in enumerate(l_p):

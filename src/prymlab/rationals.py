@@ -41,7 +41,8 @@ def format_rational(q: RationalLike) -> str:
 
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of the kth root of n >= 0, by binary search (no floats)."""
-    assert n >= 0 and k >= 1
+    if n < 0 or k < 1:
+        raise ValueError(f"integer_nth_root needs n >= 0 and k >= 1, got n = {n}, k = {k}")
     if n < 2 or k == 1:
         return n
     hi = 1 << (n.bit_length() // k + 1)   # hi^k > n

@@ -25,7 +25,14 @@ from .curves import (
     is_special,
     j_invariant,
 )
-from .endomorphisms import SATO_TATE_LABELS, cm_discriminant, elkies_t, end_ring_from, endo_field
+from .endomorphisms import (
+    SATO_TATE_LABELS,
+    EndRing,
+    cm_discriminant,
+    elkies_t,
+    end_ring_from,
+    endo_field,
+)
 from .oracle import good_primes, prym_order, require_good_primes
 from .rationals import format_rational
 from .torsion import torsion_group, torsion_to_dict
@@ -91,7 +98,8 @@ def classify_record(
     Explicit primes imply the oracle; with_oracle alone selects the first
     DEFAULT_ORACLE_PRIMES good primes from 5 upward.  The curve is normalized
     once; the oracle and torsion layers get its integral model, the printed
-    invariants and the endomorphism profile the curve as given.
+    invariants and the endomorphism profile the curve as given.  End(P) is
+    derived once, by endo_profile, and handed to torsion_group.
     """
     m = integral_model(c)
     summary = None
@@ -100,13 +108,15 @@ def classify_record(
         chosen = list(primes) if primes is not None else good_primes(m, DEFAULT_ORACLE_PRIMES)
         summary = oracle_summary(m, chosen)
         bound = summary["gcd"]
-    torsion = torsion_group(m, oracle_bound=bound)
+    endo = endo_profile(c)
+    ring = EndRing(endo["end_ring"], endo["cm_discriminant"])
+    torsion = torsion_group(m, oracle_bound=bound, ring=ring)
     return {
         "curve": curve_to_dict(c),
         "j": format_rational(j_invariant(c)),
         "delta": format_rational(discriminant(c)),
         "special": is_special(c),
-        "endo": endo_profile(c),
+        "endo": endo,
         "torsion": torsion_to_dict(torsion),
         "oracle": summary,
         "dual": curve_to_dict(bigonal_dual(c)),

@@ -165,8 +165,13 @@ def three_part(c: Curve, oracle_bound: Optional[int] = None) -> ThreePartReport:
     )
 
 
-def torsion_group(c: Curve, oracle_bound: Optional[int] = None) -> TorsionReport:
-    """Assemble the full torsion group and check it against the classification."""
+def torsion_group(
+    c: Curve, oracle_bound: Optional[int] = None, ring: Optional[EndRing] = None
+) -> TorsionReport:
+    """Assemble the full torsion group and check it against the classification.
+
+    `ring` is End(P) when the caller has derived it already; else end_ring(c).
+    """
     model = integral_model(c)
     two = two_torsion(model)
     three = three_part(model, oracle_bound)
@@ -177,7 +182,8 @@ def torsion_group(c: Curve, oracle_bound: Optional[int] = None) -> TorsionReport
         raise InternalInconsistency(f"(Z/2)^2 with 3-part signal on {c}")
     if (m, n) not in GROUP_NAMES:
         raise InternalInconsistency(f"group shape ({m}, {n}) off the list on {c}")
-    ring = end_ring(c)
+    if ring is None:
+        ring = end_ring(c)
     module = _end_module_label(ring, m, n, c)
     return TorsionReport(
         invariant_factors=_invariant_factors(m, n),

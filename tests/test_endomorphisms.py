@@ -1,11 +1,13 @@
 """Endomorphism field, CM table, end ring, Sato-Tate labels, Elkies map."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from prymlab import classify_record
 from prymlab.curves import bigonal_dual, discriminant, j_invariant, new_curve, sextic_twist
 from prymlab.endomorphisms import (
     CM_TABLE,
@@ -22,6 +24,7 @@ from prymlab.endomorphisms import (
 from prymlab.errors import CMNotSupported, DegenerateParameters
 from prymlab.families import instantiate
 from prymlab.rationals import is_nth_power
+from prymlab.torsion import torsion_group, torsion_to_dict
 
 
 def _curve_with_j(j):
@@ -172,6 +175,35 @@ def test_end_ring_matches_sixth_power_rule():
         assert is_gl2_type(c) == gl2, c
         kinds[expected] += 1
     assert set(kinds) == {"Z", "Z_sqrt2", "Z_sqrt6", "CM"}
+
+
+@pytest.fixture
+def endo_calls(monkeypatch):
+    """Calls of endo_field and cm_discriminant, rebound wherever prymlab holds them."""
+    calls = Counter()
+    for fn in (endo_field, cm_discriminant):
+        def counting(c, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("prymlab") and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+def test_end_ring_derived_once_per_record(endo_calls, with_oracle):
+    # Z, CM, Z[sqrt2] and Z[sqrt6]; torsion_group(c) alone derives the same module label
+    curves = [new_curve(3, 4), _curve_with_j(-1), new_curve(100, 500), new_curve(72, -648)]
+    kinds = set()
+    for c in curves:
+        endo_calls.clear()
+        record = classify_record(c, with_oracle=with_oracle)
+        assert endo_calls == {"endo_field": 1, "cm_discriminant": 1}, c
+        assert record["torsion"] == torsion_to_dict(torsion_group(c))
+        kinds.add(record["endo"]["end_ring"])
+    assert kinds == {"Z", "CM", "Z_sqrt2", "Z_sqrt6"}
 
 
 def test_gl2_type():

@@ -1,6 +1,10 @@
 """Small finite-field towers used by the point counter."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,35 @@ def test_smallest_irreducible_known():
     assert smallest_irreducible(7, 2) == (1, 0)
     # cubing is a bijection mod 5, so every z^3 + c has a root; z^3+z+1 is first
     assert smallest_irreducible(5, 3) == (1, 1, 0)
+
+
+def test_field_argument_checks_under_O():
+    # ValueError, not assert: under python -O FiniteField(4, 2) built a 16-element
+    # "field" and FiniteField(7, 4) an object with no reduction rows
+    for call, match in ((lambda: FiniteField(4, 2), "prime p >= 5, got 4"),
+                        (lambda: FiniteField(7, 4), "k in \\(1, 2, 3\\), got 4"),
+                        (lambda: smallest_irreducible(7, 4), "k in \\(2, 3\\), got 4")):
+        with pytest.raises(ValueError, match=match):
+            call()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab.finitefields import FiniteField, smallest_irreducible\n"
+        "for call in (lambda: FiniteField(4, 2), lambda: FiniteField(7, 4),\n"
+        "             lambda: smallest_irreducible(7, 4)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ValueError: FiniteField needs a prime p >= 5, got 4\n"
+        "ValueError: FiniteField needs k in (1, 2, 3), got 4\n"
+        "ValueError: smallest_irreducible needs k in (2, 3), got 4\n"
+    )
 
 
 def test_smallest_irreducible_is_irreducible():

@@ -11,7 +11,7 @@ import pytest
 
 from prymlab import oracle, records
 from prymlab.curves import elliptic_quotients, new_curve, sextic_twist
-from prymlab.errors import BadPrime, WeilBoundViolation
+from prymlab.errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from prymlab.finitefields import FiniteField
 from prymlab.oracle import (
     count_points_C,
@@ -298,3 +298,87 @@ def test_prym_order_divisibility_by_structural_torsion():
             order *= f
         for p in good_primes(c, 3):
             assert prym_order(c, p).order % order == 0, (a, b, p)
+
+
+def _d1(a, b, p):
+    """d1 = sum_x chi(x^4 + a x^2 + b) - sum_u chi(u^2 + a u + b) in Z[w] as (x, y),
+    with chi from Euler's criterion v^((p-1)/3): a check independent of the oracle's
+    class table.  Whether d1 = 0 does not depend on which cubic character is used."""
+    e = (p - 1) // 3
+    zeta = next(pow(r, e, p) for r in range(2, p) if pow(r, e, p) != 1)
+    value = {1: (1, 0), zeta: (0, 1), zeta * zeta % p: (-1, -1)}  # 1, w, w^2 = -1 - w
+
+    def chi_sum(values):
+        x = y = 0
+        for v in values:
+            if v % p:
+                dx, dy = value[pow(v, e, p)]
+                x, y = x + dx, y + dy
+        return x, y
+
+    s_c = chi_sum(x ** 4 + a * x * x + b for x in range(p))
+    s_e = chi_sum(u * u + a * u + b for u in range(p))
+    return s_c[0] - s_e[0], s_c[1] - s_e[1]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (p, k) of every count_points_C call, rebound in the oracle module."""
+    calls = []
+
+    def counting(c, p, k=1):
+        calls.append((p, k))
+        return count_points_C(c, p, k)
+
+    monkeypatch.setattr(oracle, "count_points_C", counting)
+    return calls
+
+
+def test_character_route_matches_sweep_route(sweeps):
+    # every p = 1 mod 3 good prime up to 199; a = 0 curves have d1 = 0 at p = 3 mod 4
+    rng = random.Random(76)
+    curves = [(0, 25), (0, -19), (3, 4)]
+    while len(curves) < 12:
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+        if b != 0 and a * a != 4 * b:
+            curves.append((a, b))
+    characters = fallbacks = 0
+    for a, b in curves:
+        c = _c(a, b)
+        for p in good_primes(c, 46):
+            if p % 3 != 1 or p > 199:
+                continue
+            sweeps.clear()
+            l_p = prym_order(c, p).l_p
+            if _d1(a, b, p) == (0, 0):
+                assert sweeps == [(p, 1), (p, 2)], (a, b, p)
+                fallbacks += 1
+            else:
+                assert sweeps == [], (a, b, p)
+                characters += 1
+            # the sweep route: s_k(P) = s_k(C) - s_k(E) from N_1, N_2 and #E(F_p)
+            s_e = p + 1 - count_points_E(elliptic_quotients(c)[0], p)
+            s1 = p + 1 - count_points_C(c, p, 1) - s_e
+            s2 = p * p + 1 - count_points_C(c, p, 2) - (s_e * s_e - 2 * p)
+            assert l_p[:3] == (1, -s1, (s1 * s1 - s2) // 2), (a, b, p)
+            assert l_p[3:] == (p * l_p[1], p * p), (a, b, p)
+    assert fallbacks > 0 and characters > 5 * fallbacks
+
+
+def test_no_sweep_at_p_1_mod_3(sweeps):
+    # C(3, 4) has d1 != 0 at these primes; p = 2 mod 3 still sweeps F_{p^2}
+    c = _c(3, 4)
+    for p in (13, 31, 61, 97, 199):
+        assert _d1(3, 4, p) != (0, 0)
+        prym_order(c, p)
+    assert sweeps == []
+    prym_order(c, 197)
+    assert sweeps == [(197, 1), (197, 2)]
+
+
+def test_character_route_cross_checks_e_count():
+    # the pass's own #E(F_p) = p + 1 + Tr(S_E) must equal count_points_E
+    n_e = count_points_E(elliptic_quotients(_c(3, 4))[0], 13)
+    assert oracle._character_power_sums(13, 3, 4, n_e) is not None
+    with pytest.raises(InternalInconsistency, match="cubic character sum gives"):
+        oracle._character_power_sums(13, 3, 4, n_e + 1)

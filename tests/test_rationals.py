@@ -1,7 +1,11 @@
 """Exact rational helpers: parsing, formatting, nth roots."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,30 @@ def test_integer_nth_root_exact_and_floor():
         assert integer_nth_root(n, k) == r
         if n > 0:
             assert integer_nth_root(n - 1, k) == r - 1
+
+
+def test_integer_nth_root_argument_checks_under_O():
+    # ValueError, not assert: under python -O integer_nth_root(-5, 2) returned -5
+    for n, k in ((-5, 2), (5, 0)):
+        with pytest.raises(ValueError, match="integer_nth_root needs"):
+            integer_nth_root(n, k)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab.rationals import integer_nth_root\n"
+        "for n, k in ((-5, 2), (5, 0)):\n"
+        "    try:\n"
+        "        print(integer_nth_root(n, k))\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ValueError: integer_nth_root needs n >= 0 and k >= 1, got n = -5, k = 2\n"
+        "ValueError: integer_nth_root needs n >= 0 and k >= 1, got n = 5, k = 0\n"
+    )
 
 
 def test_is_nth_power():
