@@ -1,4 +1,5 @@
-"""Small finite fields F_{p^k} for p >= 5 and k in {1, 2, 3}.
+"""Small finite fields F_{p^k} for p >= 5 and k in {1, 2, 3}: the tests'
+brute-force reference field.
 
 Elements of F_{p^k} are coordinate tuples (c_0, ..., c_{k-1}) relative to the
 power basis of a fixed monic irreducible modulus M(z) of degree k.  The
@@ -7,13 +8,10 @@ in base-p counter order and the first irreducible polynomial wins, so repeated
 runs on any machine agree.  For degree 2 and 3 irreducibility is just "no
 root in F_p".
 
-There is one multiplication formula.  mul, digits and index use only +, *, %
-and //, so the oracle runs them unchanged on int64 numpy columns as well as on
-Python ints.  With reduced inputs every intermediate of mul stays below
-3p^3 + 3p^2 (the k = 3 case), which is under 2^63 for p < 1.4e6 -- far beyond
-any field whose sweep fits in memory.  The field axioms, x^(q-1) = 1 and the
-Frobenius fixed field are tested on the scalar path; the sweep is compared
-with brute-force counts in the tests.
+The oracle's point counter does not use this module: its tables are indexed
+by F_p only.  The tests count points here element by element, with the field
+axioms, x^(q-1) = 1 and the Frobenius fixed field tested alongside, so the
+two counts are independent.
 """
 
 from __future__ import annotations
@@ -30,13 +28,7 @@ def smallest_irreducible(p: int, k: int) -> Tuple[int, ...]:
     if k not in (2, 3):
         raise ValueError(f"smallest_irreducible needs k in (2, 3), got {k}")
     for n in range(p ** k):
-        digits = []
-        rest = n
-        for _ in range(k):
-            digits.append(rest % p)
-            rest //= p
-        # digits[0] = c_0 varies fastest; coeffs ascending = digits
-        coeffs = tuple(digits)
+        coeffs = tuple(n // p ** i % p for i in range(k))  # c_0 varies fastest
         if not _has_root(coeffs, p, k):
             return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -63,28 +55,13 @@ class FiniteField:
         self.p = p
         self.k = k
         self.q = p ** k
-        if k == 1:
-            self.modulus: Tuple[int, ...] = ()
-        else:
-            self.modulus = smallest_irreducible(p, k)
-        # reduction rows: coordinates of z^k (and z^{k+1} for cubic fields)
-        if k == 2:
-            c0, c1 = self.modulus
-            self.red2 = ((-c0) % p, (-c1) % p)
-        elif k == 3:
-            c0, c1, c2 = self.modulus
-            r3 = ((-c0) % p, (-c1) % p, (-c2) % p)
-            r4 = (
-                r3[2] * r3[0] % p,
-                (r3[0] + r3[2] * r3[1]) % p,
-                (r3[1] + r3[2] * r3[2]) % p,
-            )
-            self.red3, self.red4 = r3, r4
+        self.modulus: Tuple[int, ...] = smallest_irreducible(p, k) if k > 1 else ()
 
     def element(self, *coords: int) -> "FiniteFieldElement":
-        cs = tuple(c % self.p for c in coords)
-        assert len(cs) == self.k
-        return FiniteFieldElement(self, cs)
+        if len(coords) != self.k:
+            raise ValueError(
+                f"F_{self.p}^{self.k} element needs {self.k} coordinates, got {len(coords)}")
+        return FiniteFieldElement(self, tuple(c % self.p for c in coords))
 
     def from_int(self, n: int) -> "FiniteFieldElement":
         """Embed an integer via the prime subfield."""
@@ -98,47 +75,20 @@ class FiniteField:
 
     def decode(self, index: int) -> "FiniteFieldElement":
         """Inverse of encode: base-p digits of index are the coordinates."""
-        return FiniteFieldElement(self, self.digits(index))
-
-    def digits(self, index):
-        """Coordinates (c_0, ..., c_{k-1}) of an index: its base-p digits."""
-        coords = []
-        for _ in range(self.k):
-            coords.append(index % self.p)
-            index = index // self.p  # not //=, which would overwrite an array argument
-        return tuple(coords)
-
-    def index(self, coords):
-        """Inverse of digits: sum(c_i * p^i) in [0, q)."""
-        idx = 0
-        for c in reversed(coords):
-            idx = idx * self.p + c
-        return idx
+        return FiniteFieldElement(self, tuple(index // self.p ** i % self.p for i in range(self.k)))
 
     def mul(self, x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, ...]:
         """Product of coordinate tuples, reduced by the modulus."""
-        p = self.p
-        if self.k == 1:
-            return (x[0] * y[0] % p,)
-        if self.k == 2:
-            a0, a1 = x
-            b0, b1 = y
-            d2 = a1 * b1
-            r0, r1 = self.red2
-            return ((a0 * b0 + d2 * r0) % p, (a0 * b1 + a1 * b0 + d2 * r1) % p)
-        a0, a1, a2 = x
-        b0, b1, b2 = y
-        d0 = a0 * b0
-        d1 = a0 * b1 + a1 * b0
-        d2 = a0 * b2 + a1 * b1 + a2 * b0
-        d3 = a1 * b2 + a2 * b1
-        d4 = a2 * b2
-        r3, r4 = self.red3, self.red4
-        return (
-            (d0 + d3 * r3[0] + d4 * r4[0]) % p,
-            (d1 + d3 * r3[1] + d4 * r4[1]) % p,
-            (d2 + d3 * r3[2] + d4 * r4[2]) % p,
-        )
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+        for d in range(2 * k - 2, k - 1, -1):
+            top = prod.pop()  # z^d = -sum c_i z^(d - k + i) modulo M(z)
+            for i, c in enumerate(self.modulus):
+                prod[d - k + i] -= top * c
+        return tuple(v % self.p for v in prod)
 
 
 @dataclass(frozen=True)
@@ -158,28 +108,33 @@ class FiniteFieldElement:
 
     def encode(self) -> int:
         """Index sum(c_i * p^i) in [0, q)."""
-        return self.field.index(self.coords)
+        return sum(c * self.p ** i for i, c in enumerate(self.coords))
+
+    def _check_field(self, other: "FiniteFieldElement") -> None:
+        if self.field is not other.field:
+            raise ValueError("FiniteFieldElement arithmetic needs both operands in one field")
 
     def __add__(self, other: "FiniteFieldElement") -> "FiniteFieldElement":
-        assert self.field is other.field
+        self._check_field(other)
         p = self.field.p
         return FiniteFieldElement(
             self.field, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __sub__(self, other: "FiniteFieldElement") -> "FiniteFieldElement":
-        assert self.field is other.field
+        self._check_field(other)
         p = self.field.p
         return FiniteFieldElement(
             self.field, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
         )
 
     def __mul__(self, other: "FiniteFieldElement") -> "FiniteFieldElement":
-        assert self.field is other.field
+        self._check_field(other)
         return FiniteFieldElement(self.field, self.field.mul(self.coords, other.coords))
 
     def __pow__(self, e: int) -> "FiniteFieldElement":
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"FiniteFieldElement power needs an exponent >= 0, got {e}")
         result = self.field.one()
         base = self
         while e:

@@ -5,10 +5,8 @@ rational criteria, only counts points mod p and reconstructs L-polynomials.
 
 For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
 
-* #C(F_{p^k}) for k = 1, 2, 3 by cube-character counting: for each x the
-  number of y with y^3 = v is 1 if v = 0, 3 if v is a nonzero cube, else 0 —
-  when q = 1 mod 3; when q = 2 mod 3 cubing is a bijection and the count is
-  q + 1 with no enumeration at all.
+* #C(F_{p^k}) for k = 1, 2, 3 in pure Python with O(p) memory (below); when
+  q = 2 mod 3 cubing is a bijection and the count is q + 1 with no enumeration.
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
 * L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
 * The Prym quartic L_P from its power sums s_1, s_2, and L_C = L_E * L_P as
@@ -16,19 +14,22 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
   pass of cubic character sums over F_p, with no extension field (see
   `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when the
   character sum d1 vanishes, s_k(P) = s_k(C) - s_k(E) is read off N_1,
-  #E(F_p) and the F_{p^2} sweep for N_2.  L_P(1) = #P(F_p), which every
+  #E(F_p) and the F_{p^2} count N_2.  L_P(1) = #P(F_p), which every
   rational torsion subgroup divides (reduction is injective on prime-to-p
-  torsion, and p >= 5 > 3).  The F_{p^3} sweep only serves the tests: its
-  N_3 gives an independent L_C.
+  torsion, and p >= 5 > 3).  N_3 only serves the tests: its L_C is independent.
 
-Extension-field sweeps (k = 2, 3) are vectorized with numpy over coordinate
-columns, chunked to bound memory.  They call FiniteField's mul and base-p
-digit coding directly on int64 columns, so there is one multiplication
-formula; its intermediates stay below 3p^3 + 3p^2 < 2^63 for every
-p < 1.4e6.  A naive double loop over (x, y) is kept as a second, independent
-counter for small p.
+Counting sums over u = x^2, not x: the affine count is sum_u (1 + psi(u))
+n3(g(u)), g(u) = u^2 + a u + b, psi the Legendre symbol of the norm N(u) and
+n3(v) the number of cube roots of v.  F_q = F_p(z) with z^k = r, the least
+non-square (k = 2) or non-cube (k = 3), and every table is indexed by F_p: at
+p = 1 mod 3, v is a cube iff N(v) is a cube of F_p (Hasse-Davenport); at
+p = 2 mod 3 (k = 2 only), F_p^* lies in the cubes and v is a cube iff its line
+v0 / v1 is that of some (s + z)^3.  Frobenius multiplies z by a root of
+unity, so each Frobenius orbit of u is summed once.  N_2 costs O(p^2) and
+N_3 O(p^3) steps.  A naive double loop over (x, y) is kept as a second,
+independent counter for small p.
 
-The sweep size is capped: primes above PRYMLAB_PRIME_CAP (default 499) are
+Counting is capped: primes above PRYMLAB_PRIME_CAP (default 499) are
 refused with BadPrime.
 """
 
@@ -40,14 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from .factorization import is_prime, primes_from
-from .finitefields import FiniteField
-
-_CHUNK = 1 << 20
 
 
 def _prime_cap() -> int:
@@ -122,7 +118,10 @@ def require_good_primes(c: Curve, primes: Sequence[int]) -> None:
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
-    """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3."""
+    """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3.
+
+    Pure Python with O(p) memory: N_1 costs O(p) steps, N_2 O(p^2), N_3 O(p^3).
+    """
     if k not in (1, 2, 3):
         raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
     m = integral_model(c)
@@ -131,48 +130,74 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     if q % 3 == 2:
         return q + 1  # cubing is a bijection: one y per x, plus infinity
     a, b = int(m.a) % p, int(m.b) % p
+    roots = _square_root_counts(p)
+    if p % 3 == 2:  # so k = 2
+        return _count_quadratic(p, a, b, roots, None) + 1
+    r, cls = _cube_classes(p)
+    n3 = bytes((3, 0, 0, 1)[i] for i in cls)  # v in F_q has n3[N(v)] cube roots
     if k == 1:
-        return _count_prime_field(p, a, b) + 1
-    return _count_extension(p, k, a, b) + 1
+        return sum(roots[u] * n3[(u * (u + a) + b) % p] for u in range(p)) + 1
+    if k == 2:
+        return _count_quadratic(p, a, b, roots, n3) + 1
+    return _count_cubic(p, a, b, roots, r, n3) + 1
 
 
-def _count_prime_field(p: int, a: int, b: int) -> int:
-    cubes = bytearray(p)
-    for x in range(p):
-        cubes[pow(x, 3, p)] = 1
-    affine = 0
-    for x in range(p):
-        x2 = x * x % p
-        v = (x2 * x2 + a * x2 + b) % p
-        if v == 0:
-            affine += 1
-        elif cubes[v]:
-            affine += 3
-    return affine
+def _count_quadratic(p: int, a: int, b: int, roots: bytearray, n3: Optional[bytes]) -> int:
+    """Affine count over F_{p^2} = F_p(z), z^2 = r; n3 is None at p = 2 mod 3."""
+    r = 2
+    while roots[r]:
+        r += 1
+    split = n3 is not None
+    if not split:
+        # F_p^* lies in the cubes; line[s] = 3 when s + z is a cube, from (s + z)^3
+        n3 = bytes([1]) + bytes([3]) * (p - 1)
+        inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+        line = bytearray(p)
+        for s in range(p):
+            w1 = (3 * s * s + r) % p
+            if w1:
+                line[(s * s + 3 * r) * s * inv[w1] % p] = 3
+    # u = u0 in F_p has N(u) = u0^2; off F_p, u = u1 (t + z) and its conjugate
+    # (u1 -> -u1) each weigh 1 + psi(t + z): 2 for t in lines, else 0
+    total = sum(roots[u * u % p] * n3[(u * (u + a) + b) ** 2 % p] for u in range(p))
+    lines = [t for t in range(p) if roots[(t * t - r) % p]]
+    half = 0
+    for u1 in range(1, (p + 1) // 2):
+        c = r * u1 * u1 + b
+        for t in lines:
+            u0 = t * u1
+            v0 = (u0 * (u0 + a) + c) % p
+            v1 = u1 * (2 * u0 + a) % p
+            if split:
+                half += n3[(v0 * v0 - r * v1 * v1) % p]
+            elif v1:
+                half += line[v0 * inv[v1] % p]
+            else:
+                half += n3[v0]
+    return total + 4 * half
 
 
-def _count_extension(p: int, k: int, a: int, b: int) -> int:
-    """Affine count over F_{p^k} (q = 1 mod 3 branch), numpy-chunked."""
-    field = FiniteField(p, k)
-    q = field.q
-    # pass 1: mark the image of cubing
-    is_cube = np.zeros(q, dtype=bool)
-    for lo in range(0, q, _CHUNK):
-        x = field.digits(np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64))
-        is_cube[field.index(field.mul(field.mul(x, x), x))] = True
-    # pass 2: classify f(x) = x^4 + a x^2 + b
-    affine = 0
-    for lo in range(0, q, _CHUNK):
-        x = field.digits(np.arange(lo, min(lo + _CHUNK, q), dtype=np.int64))
-        x2 = field.mul(x, x)
-        x4 = field.mul(x2, x2)
-        f = [(x4[i] + a * x2[i]) % p for i in range(k)]
-        f[0] = (f[0] + b) % p
-        enc = field.index(f)
-        zero = enc == 0
-        affine += int(np.count_nonzero(zero))
-        affine += 3 * int(np.count_nonzero(is_cube[enc] & ~zero))
-    return affine
+def _count_cubic(p: int, a: int, b: int, roots: bytearray, r: int, n3: bytes) -> int:
+    """Affine count over F_{p^3} = F_p(z), z^3 = r (p = 1 mod 3)."""
+    w = pow(r, (p - 1) // 3, p)  # Frobenius: z -> w z, so (u1, u2) -> (w u1, w^2 u2)
+    reps = [x for x in range(1, p) if x < x * w % p and x < x * w * w % p]
+    total = 0
+    for u1 in [0] + reps:
+        for u2 in range(p) if u1 else [0] + reps:
+            # N(u) = u0^3 - m u0 + n, and g(u) = v0 + v1 z + v2 z^2
+            m, n = 3 * r * u1 * u2, r * u1 ** 3 + r * r * u2 ** 3
+            c0, c1, c2 = 2 * r * u1 * u2 + b, a * u1 + r * u2 * u2, u1 * u1 + a * u2
+            orbit = 0
+            for u0 in range(p):
+                weight = roots[(u0 * (u0 * u0 - m) + n) % p]
+                if weight:
+                    v0 = (u0 * (u0 + a) + c0) % p
+                    v1 = (2 * u0 * u1 + c1) % p
+                    v2 = (2 * u0 * u2 + c2) % p
+                    norm = v0 * (v0 * v0 - 3 * r * v1 * v2) + r * v1 ** 3 + r * r * v2 ** 3
+                    orbit += weight * n3[norm % p]
+            total += orbit if u1 == u2 == 0 else 3 * orbit
+    return total
 
 
 def count_points_C_naive(c: Curve, p: int) -> int:
@@ -213,6 +238,22 @@ def _square_root_counts(p: int) -> bytearray:
     for y in range(1, (p + 1) // 2):
         roots[y * y % p] = 2
     return roots
+
+
+def _cube_classes(p: int) -> Tuple[int, bytearray]:
+    """The least non-cube r mod p (p = 1 mod 3), and cls[v] = i for v in r^i (F_p^*)^3.
+
+    cls[0] = 3 marks v = 0, which the cubic character skips."""
+    r = 2
+    while pow(r, (p - 1) // 3, p) == 1:
+        r += 1
+    cls = bytearray([2]) * p
+    cls[0] = 3
+    for z in range(1, p):
+        t = z * z * z % p
+        cls[t] = 0
+        cls[t * r % p] = 1
+    return r, cls
 
 
 def _from_power_sums(s: Sequence[int], p: int, genus: int) -> LPolynomial:
@@ -261,16 +302,7 @@ def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int
     #E(F_p) = p + 1 + Tr(S_E), checked against n_e.  (Ireland-Rosen, ch. 8
     and 10, count y^m = f(x) by such character sums.)
     """
-    # cls[v] = i for v in r^i (F_p^*)^3; 3 marks v = 0, which chi skips
-    r = 2
-    while pow(r, (p - 1) // 3, p) == 1:
-        r += 1
-    cls = bytearray([2]) * p
-    cls[0] = 3
-    for z in range(1, p):
-        t = z * z * z % p
-        cls[t] = 0
-        cls[t * r % p] = 1
+    cls = _cube_classes(p)[1]
     roots = _square_root_counts(p)
     n_c = [0, 0, 0, 0]
     n_e_cls = [0, 0, 0, 0]

@@ -1,4 +1,4 @@
-"""Small finite-field towers used by the point counter."""
+"""The brute-force reference fields F_{p^k} the oracle tests count in."""
 
 import os
 import random
@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from prymlab.finitefields import FiniteField, smallest_irreducible
@@ -50,6 +49,42 @@ def test_field_argument_checks_under_O():
     )
 
 
+def test_element_checks_under_O():
+    # ValueError, not assert: under python -O a negative power never returned,
+    # a 3-coordinate F_49 element encoded to 162, and adding across two fields
+    # returned (2, 2)
+    f49, x = FiniteField(7, 2), FiniteField(7, 2).element(1, 1)
+    for call, match in ((lambda: f49.element(3, 1) ** -1, "exponent >= 0, got -1"),
+                        (lambda: f49.element(1, 2, 3), "needs 2 coordinates, got 3"),
+                        (lambda: x + FiniteField(5, 2).element(1, 1), "one field"),
+                        (lambda: x - FiniteField(7, 2).element(1, 1), "one field"),
+                        (lambda: x * FiniteField(7, 3).element(1, 1, 1), "one field")):
+        with pytest.raises(ValueError, match=match):
+            call()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab.finitefields import FiniteField\n"
+        "f = FiniteField(7, 2)\n"
+        "for call in (lambda: f.element(3, 1) ** -1, lambda: f.element(1, 2, 3),\n"
+        "             lambda: f.element(1, 1) + FiniteField(5, 2).element(1, 1),\n"
+        "             lambda: f.element(1, 1) - FiniteField(7, 2).element(1, 1),\n"
+        "             lambda: f.element(1, 1) * FiniteField(7, 3).element(1, 1, 1)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ValueError: FiniteFieldElement power needs an exponent >= 0, got -1\n"
+        "ValueError: F_7^2 element needs 2 coordinates, got 3\n"
+        + "ValueError: FiniteFieldElement arithmetic needs both operands in one field\n" * 3
+    )
+
+
 def test_smallest_irreducible_is_irreducible():
     for p in [5, 7, 11, 13]:
         for k in [2, 3]:
@@ -84,18 +119,6 @@ def test_encode_decode_round_trip():
         field = FiniteField(p, k)
         for n in range(p**k):
             assert field.decode(n).encode() == n
-
-
-def test_int64_columns_match_scalar_path():
-    # the oracle runs digits, mul and index on numpy columns
-    for p, k in [(7, 2), (7, 3)]:
-        field = FiniteField(p, k)
-        idx = np.arange(field.q, dtype=np.int64)
-        cols = field.digits(idx)
-        assert np.array_equal(idx, np.arange(field.q))  # argument left intact
-        assert np.array_equal(field.index(cols), idx)
-        squares = field.index(field.mul(cols, cols))
-        assert squares.tolist() == [(x * x).encode() for x in map(field.decode, range(field.q))]
 
 
 def test_multiplicative_order():

@@ -1,5 +1,7 @@
 """Finite-field point counts, L-polynomials, Prym orders."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -66,9 +68,16 @@ def test_counts_match_naive():
 
 def test_extension_counts_match_brute_force():
     # brute force via a precomputed cube table over the tower field; the k = 3
-    # primes are 1 mod 3, so the vectorized sweep runs rather than q + 1
+    # primes are 1 mod 3, so the count runs rather than q + 1.  Branches of the
+    # counter: p = 2 mod 3 at k = 2 (the line table: p = 5, 11, 17), p = 1 mod 3
+    # at k = 2 and 3 (the norm test), a = 0, and a^2 - 4b a non-square mod p
+    # with b a square, so g has a root u off F_p with psi(u) = 1 and n3(0) = 1
+    # is read at u1 != 0: (2, 5, 11), (1, 2, 17) and (-2, 3, 13); (-5, 4, 11)
+    # has its roots in F_p
     cases = [(-5, 4, 7, 2), (1, 1, 5, 2), (3, 5, 7, 2), (-2, 3, 13, 2),
-             (-5, 4, 7, 3), (3, 5, 7, 3), (-2, 3, 13, 3)]
+             (-5, 4, 7, 3), (3, 5, 7, 3), (-2, 3, 13, 3),
+             (0, 5, 11, 2), (2, 5, 11, 2), (-5, 4, 11, 2), (0, -3, 17, 2), (1, 2, 17, 2),
+             (0, 3, 13, 2), (0, 2, 7, 3)]
     for a, b, p, k in cases:
         c = _c(a, b)
         field = FiniteField(p, k)
@@ -83,6 +92,57 @@ def test_extension_counts_match_brute_force():
             v = x**4 + field.from_int(a) * x * x + field.from_int(b)
             count += cubes.get(v.encode(), 0)
         assert count_points_C(c, p, k) == count, (a, b, p, k)
+
+
+# sha256 of the (a, b, p, k, N_k) rows below as counted by the numpy sweep the
+# pure-Python counter replaced
+_PINNED_COUNTS = "fb69a6fa07f38e6fb7093c9f4b4f86b0b5c8ead8dff6366a09ad7f79b2456611"
+
+
+def test_extension_counts_pinned():
+    # N_2 at every good p <= 199 and N_3 at every good p <= 61, on 10 seeded
+    # curves (two with a = 0)
+    rng = random.Random(7)
+    curves = [(0, 7), (0, -12)]
+    while len(curves) < 10:
+        a, b = rng.randint(-40, 40), rng.randint(-40, 40)
+        if b != 0 and a * a != 4 * b:
+            curves.append((a, b))
+    rows = []
+    for a, b in curves:
+        c = _c(a, b)
+        for p in good_primes(c, 44):
+            if p <= 199:
+                rows.append([a, b, p, 2, count_points_C(c, p, 2)])
+            if p <= 61:
+                rows.append([a, b, p, 3, count_points_C(c, p, 3)])
+    assert len(rows) == 568
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_COUNTS
+
+
+def test_oracle_runs_without_numpy():
+    # import prymlab leaves numpy unloaded, and the oracle runs with numpy blocked
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, prymlab\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from prymlab import classify_record, count_points_C, new_curve\n"
+        "c = new_curve(3, 4)\n"
+        "print(json.dumps(classify_record(c, with_oracle=True), sort_keys=True))\n"
+        "print(count_points_C(c, 13, 3))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    record = json.dumps(records.classify_record(_c(3, 4), with_oracle=True), sort_keys=True)
+    assert proc.stdout == f"{record}\n2128\n"
 
 
 def test_l_polynomial_genus1():
