@@ -79,12 +79,14 @@ def new_curve(a: RationalLike, b: RationalLike) -> Curve:
 
 def discriminant(c: Curve) -> Fraction:
     """Delta = 16*b*(a^2 - 4b)."""
-    return 16 * c.b * (c.a * c.a - 4 * c.b)
+    (an, ad), (bn, bd) = c.a.as_integer_ratio(), c.b.as_integer_ratio()
+    return Fraction(16 * bn * (an * an * bd - 4 * bn * ad * ad), (ad * bd) ** 2)
 
 
 def j_invariant(c: Curve) -> Fraction:
     """j = (4b - a^2)/(4b); never 0 or infinity on a smooth curve."""
-    return (4 * c.b - c.a * c.a) / (4 * c.b)
+    (an, ad), (bn, bd) = c.a.as_integer_ratio(), c.b.as_integer_ratio()
+    return Fraction(4 * bn * ad * ad - an * an * bd, 4 * bn * ad * ad)
 
 
 def is_special(c: Curve) -> bool:
@@ -94,7 +96,9 @@ def is_special(c: Curve) -> bool:
 
 def bigonal_dual(c: Curve) -> Curve:
     """The dual curve (8a, 16*(a^2 - 4b)); smooth automatically."""
-    return new_curve(8 * c.a, 16 * (c.a * c.a - 4 * c.b))
+    (an, ad), (bn, bd) = c.a.as_integer_ratio(), c.b.as_integer_ratio()
+    b_dual = Fraction(16 * (an * an * bd - 4 * bn * ad * ad), ad * ad * bd)
+    return new_curve(Fraction(8 * an, ad), b_dual)
 
 
 def sextic_twist(c: Curve, delta: RationalLike) -> Curve:
@@ -146,7 +150,7 @@ def integral_model(c: Curve) -> Curve:
     for q in (c.a.denominator, c.b.denominator):
         if q > 1:
             primes.update(factor_integer(q))
-    lam = Fraction(1)
+    lam = 1
     for p in primes:
         vb = _valuation_q(c.b, p)
         e = vb // 12 if c.a == 0 else min(_valuation_q(c.a, p) // 6, vb // 12)

@@ -87,8 +87,10 @@ class EndRing:
 def endo_field(c: Curve) -> EndoFieldDescriptor:
     """Descriptor of the endomorphism field of the Prym of c."""
     delta = discriminant(c)
-    d2 = 1 if (is_square(delta) or is_square(-3 * delta)) else 2
-    d3 = 1 if is_nth_power(delta, 3) is not None else 3
+    # delta = n/d in lowest terms: n*d has its square class, n*d^2 its cube class
+    nd = delta.numerator * delta.denominator
+    d2 = 1 if (is_square(nd) or is_square(-3 * nd)) else 2
+    d3 = 1 if is_nth_power(nd * delta.denominator, 3) is not None else 3
     d = lcm(d2, d3)
     return EndoFieldDescriptor(
         delta=delta, d2=d2, d3=d3, d=d, degree=2 * d, group_label=f"D{d}"
@@ -156,10 +158,11 @@ def sato_tate_label(c: Curve) -> Optional[str]:
 
 
 def elkies_t(j: RationalLike) -> Fraction:
-    """Shimura-curve coordinate t = (j+1)^2 / (4j); j must be nonzero."""
-    j = Fraction(j)
-    assert j != 0
-    return (j + 1) ** 2 / (4 * j)
+    """Shimura-curve coordinate t = (j+1)^2 / (4j) = (n+d)^2 / (4nd) for j = n/d != 0."""
+    n, d = j.numerator, j.denominator
+    if n == 0:
+        raise ValueError("elkies_t needs j != 0")
+    return Fraction((n + d) ** 2, 4 * n * d)
 
 
 def lifts_to_Y(t: RationalLike) -> bool:

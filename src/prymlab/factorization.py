@@ -1,9 +1,9 @@
 """Integer factorization and primality.
 
-Pipeline: trial division by a cached sieve up to 10^6, then a perfect-power
-check (r^e is factored as r) and Brent's variant of Pollard rho on what
-remains, with a Miller-Rabin primality check that is deterministic for
-n < 3.3 * 10^24 (fixed witness set).
+Pipeline: trial division by the primes below 10^6 (an odd-only sieve, built
+on first use, never at import), then a perfect-power check (r^e is factored as
+r) and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
+primality check that is deterministic for n < 3.3 * 10^24 (fixed witnesses).
 
 Only denominators are factored in full: `curves.integral_model` finds the
 numerator primes it needs with `power_primes`, trial division up to the 12th
@@ -14,6 +14,7 @@ cofactor (>= 10^72) that is no perfect power and has two primes above 10^6
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Dict, Iterator, List
@@ -30,12 +31,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _sieve() -> List[int]:
     global _small_primes
     if not _small_primes:
-        flags = bytearray([1]) * _SIEVE_LIMIT
-        flags[0:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
-            if flags[i]:
-                flags[i * i :: i] = b"\x00" * len(range(i * i, _SIEVE_LIMIT, i))
-        _small_primes = [i for i in range(_SIEVE_LIMIT) if flags[i]]
+        flags = bytearray([1]) * (_SIEVE_LIMIT // 2)  # flags[j] stands for 2j + 1
+        flags[0] = 0
+        for i in range(3, math.isqrt(_SIEVE_LIMIT) + 1, 2):
+            if flags[i // 2]:  # the odd multiples of i from i^2 lie i flags apart
+                flags[i * i // 2 :: i] = bytes(len(range(i * i // 2, _SIEVE_LIMIT // 2, i)))
+        _small_primes = [2, *itertools.compress(range(1, _SIEVE_LIMIT, 2), flags)]
     return _small_primes
 
 

@@ -87,19 +87,21 @@ def _real_root_brackets(q: IntPolynomial, bound: int) -> List[int]:
 def biquadratic_roots(a: RationalLike, b: RationalLike) -> Set[Fraction]:
     """Rational roots of x^4 + a x^2 + b without divisor enumeration.
 
-    Substituting z = x^2 reduces to z^2 + a z + b = 0, so the roots are read
-    off two exact square tests: a^2 - 4b must be a rational square, and each
-    quadratic root z must itself be a square: a few integer square roots,
-    cheap at any height.
+    y = e x, e the product of the denominators, makes a and b integers.  Then
+    z = x^2 solves z^2 + a z + b = 0, so a^2 - 4b must be a square s^2 and
+    z = (-a +- s)/2 a square, which it is not when -a +- s is odd: a few
+    integer square roots, cheap at any height; only roots become Fractions.
     """
-    a, b = Fraction(a), Fraction(b)
-    disc = a * a - 4 * b
-    s = is_nth_power(disc, 2)
+    e = a.denominator * b.denominator
+    if e != 1:
+        return {y / e for y in biquadratic_roots((e * e * a).numerator, (e ** 4 * b).numerator)}
+    a, b = a.numerator, b.numerator
+    s = is_nth_power(a * a - 4 * b, 2)
     if s is None:
         return set()
     roots: Set[Fraction] = set()
-    for z in {(-a + s) / 2, (-a - s) / 2}:
-        w = is_nth_power(z, 2)
+    for twice_z in {-a + s.numerator, -a - s.numerator}:
+        w = None if twice_z % 2 else is_nth_power(twice_z // 2, 2)
         if w is not None:
             roots.update({w, -w})
     return roots

@@ -1,17 +1,19 @@
 """Exact rational scalars and nth-power tests.
 
-Rationals are ``fractions.Fraction`` throughout: always in lowest terms with
-positive denominator, which is exactly the normal form the rest of the library
-assumes.  The wire format (CLI arguments, JSON fields) is base-10 ``"p/q"`` or
-``"p"``; no floats appear anywhere.
+Public functions return ``fractions.Fraction`` in lowest terms with positive
+denominator (an ``int`` is accepted as input); the layers compute on integer
+numerators and denominators and build each rational they return once.  The
+wire format (CLI arguments, JSON fields) is base-10 ``"p/q"`` or ``"p"``; no
+floats appear anywhere.
 
 The nth-power test never factors: a reduced fraction is an nth power iff
 numerator and denominator separately are, and those are settled by an integer
-nth root found by binary search.
+nth root (``math.isqrt`` for squares, binary search otherwise).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Optional, Union
@@ -36,7 +38,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: RationalLike) -> str:
     """Render in the wire format "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(q))
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def integer_nth_root(n: int, k: int) -> int:
@@ -45,6 +47,8 @@ def integer_nth_root(n: int, k: int) -> int:
         raise ValueError(f"integer_nth_root needs n >= 0 and k >= 1, got n = {n}, k = {k}")
     if n < 2 or k == 1:
         return n
+    if k == 2:
+        return math.isqrt(n)
     hi = 1 << (n.bit_length() // k + 1)   # hi^k > n
     lo = 0
     while hi - lo > 1:
@@ -55,11 +59,6 @@ def integer_nth_root(n: int, k: int) -> int:
             hi = mid
     return lo
 
-def _exact_int_root(n: int, k: int) -> Optional[int]:
-    # nonnegative n only; returns r >= 0 with r**k == n, else None
-    r = integer_nth_root(n, k)
-    return r if r ** k == n else None
-
 
 def is_nth_power(q: RationalLike, n: int) -> Optional[Fraction]:
     """Return r with r**n == q if one exists in Q, else None.
@@ -67,23 +66,15 @@ def is_nth_power(q: RationalLike, n: int) -> Optional[Fraction]:
     For even n the input must be >= 0 and the positive root is returned; for
     odd n the unique real rational root is returned (negative when q < 0).
     """
-    assert n >= 1
-    q = Fraction(q)
-    if n == 1:
-        return q
-    if q == 0:
-        return Fraction(0)
-    negative = q < 0
-    if negative and n % 2 == 0:
+    if n < 1:
+        raise ValueError(f"is_nth_power needs n >= 1, got {n}")
+    num, den = q.numerator, q.denominator  # an int has both, den = 1
+    if num < 0 and n % 2 == 0:
         return None
-    num = _exact_int_root(abs(q.numerator), n)
-    if num is None:
+    root, den_root = integer_nth_root(abs(num), n), integer_nth_root(den, n)
+    if root ** n != abs(num) or den_root ** n != den:
         return None
-    den = _exact_int_root(q.denominator, n)
-    if den is None:
-        return None
-    root = Fraction(num, den)
-    return -root if negative else root
+    return Fraction(-root if num < 0 else root, den_root)
 
 
 def is_square(q: RationalLike) -> bool:

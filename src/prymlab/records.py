@@ -20,7 +20,6 @@ from .curves import (
     Curve,
     bigonal_dual,
     curve_to_dict,
-    discriminant,
     integral_model,
     is_special,
     j_invariant,
@@ -114,7 +113,7 @@ def classify_record(
     return {
         "curve": curve_to_dict(c),
         "j": format_rational(j_invariant(c)),
-        "delta": format_rational(discriminant(c)),
+        "delta": endo["delta"],
         "special": is_special(c),
         "endo": endo,
         "torsion": torsion_to_dict(torsion),

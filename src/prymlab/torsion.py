@@ -98,13 +98,14 @@ class TorsionReport:
 def two_torsion(c: Curve) -> TwoTorsionReport:
     """Exact rational 2-torsion via the two cube tests and the lifting quartic."""
     m = integral_model(c)
-    e_part = is_nth_power(16 * (m.a * m.a - 4 * m.b), 3) is not None
-    t = is_nth_power(m.b, 3)
+    a, b = m.a.numerator, m.b.numerator
+    e_part = is_nth_power(16 * (a * a - 4 * b), 3) is not None
+    t = is_nth_power(b, 3)
     lift = False
     witness = None
     if t is not None:
         # g_{a,t}(z) = z^4 - 6t z^2 + 4a z - 3t^2, with integral a and t
-        g = IntPolynomial.of([int(-3 * t * t), int(4 * m.a), int(-6 * t), 0, 1])
+        g = IntPolynomial.of([-3 * t.numerator ** 2, 4 * a, -6 * t.numerator, 0, 1])
         roots = rational_roots(g)
         if roots:
             lift = True
@@ -123,11 +124,11 @@ def p_torsion_rank(c: Curve) -> Tuple[int, Set[Fraction]]:
     not split); 0 otherwise.  Witnesses are roots for the integral model.
     """
     m = integral_model(c)
-    return _rank_from_roots(m.a, m.b)
+    return _rank_from_roots(m.a.numerator, m.b.numerator)
 
 
-def _rank_from_roots(a: Fraction, b: Fraction) -> Tuple[int, Set[Fraction]]:
-    # p_torsion_rank for the curve (a, b) as given: the counts of rational
+def _rank_from_roots(a: int, b: int) -> Tuple[int, Set[Fraction]]:
+    # p_torsion_rank for the integral curve (a, b): the counts of rational
     # roots of f and fhat, hence the rank, are unchanged by (l^6 a, l^12 b)
     f_roots = biquadratic_roots(a, b)
     if len(f_roots) == 4:  # Delta != 0 makes f squarefree, so split <=> 4 roots
@@ -143,8 +144,9 @@ def three_part(c: Curve, oracle_bound: Optional[int] = None) -> ThreePartReport:
     An oracle_bound of 0 (the gcd of no orders) carries no information.
     """
     m = integral_model(c)
-    r, wits = _rank_from_roots(m.a, m.b)
-    r_twist, _ = _rank_from_roots(-27 * m.a, 729 * m.b)  # the sextic twist by -27
+    a, b = m.a.numerator, m.b.numerator
+    r, wits = _rank_from_roots(a, b)
+    r_twist, _ = _rank_from_roots(-27 * a, 729 * b)  # the sextic twist by -27
     upper = min(2, r + r_twist)
     status = LOWER_BOUND
     if r == 2 or r_twist == 0:

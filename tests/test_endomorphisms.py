@@ -1,9 +1,12 @@
 """Endomorphism field, CM table, end ring, Sato-Tate labels, Elkies map."""
 
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +246,27 @@ def test_elkies_t():
         assert elkies_t(1 / j) == t  # t is dual-invariant
         assert lifts_to_Y(t)  # t(t-1) = ((j^2-1)/4j)^2 is always a square
         assert t * (t - 1) == ((j * j - 1) / (4 * j)) ** 2
+
+
+def test_elkies_t_zero_check_under_O():
+    # ValueError, not assert: under python -O elkies_t(0) raised ZeroDivisionError
+    with pytest.raises(ValueError, match="elkies_t needs j != 0"):
+        elkies_t(0)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from fractions import Fraction\n"
+        "from prymlab.endomorphisms import elkies_t\n"
+        "for j in (0, Fraction(0)):\n"
+        "    try:\n"
+        "        print(elkies_t(j))\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError: elkies_t needs j != 0\n" * 2
 
 
 def test_twist_invariance_of_endo_data():

@@ -3,10 +3,13 @@
 import ast
 import inspect
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +118,29 @@ def test_prime_powers_past_the_sieve_skip_rho(monkeypatch):
     for e in (2, 3, 19, 20, 21, 40):
         assert factor_integer(1000003 ** e) == {1000003: e}
     assert factor_integer(1000003 ** 12 * 30) == {2: 1, 3: 1, 5: 1, 1000003: 12}
+
+
+def test_sieve_matches_full_sieve():
+    # the odd-only sieve against a plain sieve over every number below 10^6
+    flags = bytearray([1]) * factorization._SIEVE_LIMIT
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(len(flags)) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, len(flags), i)))
+    reference = [i for i, flag in enumerate(flags) if flag]
+    assert factorization._sieve() == reference
+    assert (len(reference), reference[-1]) == (78498, 999983)
+
+
+def test_import_builds_no_sieve():
+    # the sieve is built on first use, never at import: set-up time stays flat
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import prymlab\nprint(len(prymlab.factorization._small_primes))\n"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_gcd_sanity():

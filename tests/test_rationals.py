@@ -79,6 +79,31 @@ def test_integer_nth_root_argument_checks_under_O():
     )
 
 
+def test_is_nth_power_exponent_check_under_O():
+    # ValueError, not assert: under python -O is_nth_power(0, 0) and
+    # is_nth_power(0, -3) returned Fraction(0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="is_nth_power needs n >= 1"):
+            is_nth_power(0, n)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from prymlab.rationals import is_nth_power\n"
+        "for n in (0, -3):\n"
+        "    try:\n"
+        "        print(is_nth_power(0, n))\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "ValueError: is_nth_power needs n >= 1, got 0\n"
+        "ValueError: is_nth_power needs n >= 1, got -3\n"
+    )
+
+
 def test_is_nth_power():
     assert is_nth_power(Fraction(64), 6) == 2
     assert is_nth_power(Fraction(-64), 6) is None
