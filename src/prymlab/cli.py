@@ -8,9 +8,11 @@ Verbs:
 * ``family list`` / ``family instantiate ID --param k=v ...`` — the registry.
 * ``oracle a b [--primes ... | --count N]`` — point counts, L-data, gcd bound.
 * ``scan --box a=LO..HI b=LO..HI | --family ID --param k=LO..HI [--out F]
-  [--jobs N]`` — batch classification to JSONL, deterministic order, resumable
-  (complete lines in --out are skipped, a cut last line is redone, a file
-  written by a different scan is refused), parallelizable.
+  [--jobs N]`` — batch classification to JSONL, deterministic order, streamed
+  (memory does not grow with the grid; bad arguments exit before F is touched),
+  resumable (complete lines in --out are skipped, a cut last line is redone, a
+  file written by a different scan is refused), on at most min(N, CPUs, grid
+  points) worker processes.
 
 Rationals on the command line are "p/q" or "p".  Leading minus signs work
 ("classify -720 82944"); use ``--`` before a negative first argument if your
@@ -25,12 +27,16 @@ fired, so the output cannot be trusted.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
+import math
+import os
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .curves import Curve, bigonal_dual, curve_to_dict, integral_model, new_curve, sextic_twist
 from .errors import (
@@ -135,7 +141,7 @@ def _parse_params(pairs: Iterable[str]) -> Dict[str, Fraction]:
     return out
 
 
-def _parse_range(text: str) -> Tuple[str, List[Fraction]]:
+def _parse_range(text: str) -> Tuple[str, Sequence]:
     """NAME=LO..HI (integer endpoints, inclusive) or NAME=VALUE."""
     name, eq, value = text.partition("=")
     if not eq or not name:
@@ -145,7 +151,7 @@ def _parse_range(text: str) -> Tuple[str, List[Fraction]]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty range in {text!r}")
-        return name, [Fraction(v) for v in range(lo, hi + 1)]
+        return name, range(lo, hi + 1)
     return name, [parse_rational(value)]
 
 
@@ -184,49 +190,49 @@ def _human_report(record: Dict) -> str:
 
 # -- scan plumbing -------------------------------------------------------------
 
-def _box_curves(specs: Sequence[str]) -> Iterator[Curve]:
-    ranges: Dict[str, List[Fraction]] = {}
-    for spec in specs:
-        name, values = _parse_range(spec)
-        if name not in ("a", "b"):
-            raise ValueError(f"box variables are a and b, got {name!r}")
-        ranges[name] = values
-    if set(ranges) != {"a", "b"}:
-        raise ValueError("scan --box needs both a=LO..HI and b=LO..HI")
-    for a in ranges["a"]:
-        for b in ranges["b"]:
-            try:
-                yield new_curve(a, b)
-            except DegenerateCurve:
-                continue
-
-
-def _family_curves(family_id: str, param_specs: Sequence[str]) -> Iterator[Curve]:
-    spec = get_family(family_id)
-    ranges: Dict[str, List[Fraction]] = {}
-    for text in param_specs:
-        name, values = _parse_range(text)
-        ranges[name] = values
-    missing = [n for n in spec.param_names if n not in ranges]
+def _scan_grid(ns: argparse.Namespace) -> Tuple[Callable[..., Curve], List[Sequence]]:
+    """The curve maker and its argument axes; every argument is checked here,
+    before the first curve is made or --out is opened."""
+    if bool(ns.box) == bool(ns.family):
+        raise ValueError("scan needs exactly one of --box or --family")
+    ranges: Dict[str, Sequence] = {}
+    if ns.box:
+        for name, values in map(_parse_range, ns.box):
+            if name not in ("a", "b"):
+                raise ValueError(f"box variables are a and b, got {name!r}")
+            ranges[name] = values
+        if set(ranges) != {"a", "b"}:
+            raise ValueError("scan --box needs both a=LO..HI and b=LO..HI")
+        return new_curve, [ranges["a"], ranges["b"]]
+    family = get_family(ns.family)
+    names = family.param_names
+    ranges.update(map(_parse_range, ns.param))
+    missing = [n for n in names if n not in ranges]
     if missing:
-        raise ValueError(f"family {spec.id}: missing --param for {missing}")
-    # cartesian product in declared parameter order, each range ascending
-    for values in itertools.product(*(ranges[n] for n in spec.param_names)):
+        raise ValueError(f"family {family.id}: missing --param for {missing}")
+    extra = [n for n in ranges if n not in names]
+    if extra:
+        raise UnknownFamily(f"family {family.id}: unknown parameters {extra}")
+    return (lambda *values: instantiate(family.id, dict(zip(names, values))),
+            [ranges[n] for n in names])
+
+
+def _curves(make: Callable[..., Curve], axes: Sequence[Sequence]) -> Iterator[Curve]:
+    # the grid in order (last axis fastest), degenerate points skipped
+    for values in itertools.product(*axes):
         try:
-            yield instantiate(spec.id, dict(zip(spec.param_names, values)))
-        except DegenerateParameters:
+            yield make(*values)
+        except (DegenerateCurve, DegenerateParameters):
             continue
 
 
-def _record_worker(args: Tuple[str, str, bool]) -> str:
-    a_text, b_text, with_oracle = args
-    curve = new_curve(parse_rational(a_text), parse_rational(b_text))
-    return json.dumps(classify_record(curve, with_oracle=with_oracle), sort_keys=True)
+def _record_line(c: Curve, with_oracle: bool) -> str:
+    return json.dumps(classify_record(c, with_oracle=with_oracle), sort_keys=True)
 
 
-def _resume_point(existing, work: Sequence[Tuple[str, str, bool]]) -> int:
-    # records of work already in the file; a cut last line is truncated, and a
-    # line that is not the record of the item at its position is refused
+def _resume_point(existing, curves: Iterator[Curve], with_oracle: bool) -> int:
+    # consumes and counts the curves whose records the file holds; a cut last
+    # line is truncated, a line not the record of its position's curve refused
     skip = end = 0
     for line in existing:
         if not line.endswith(b"\n"):
@@ -234,12 +240,12 @@ def _resume_point(existing, work: Sequence[Tuple[str, str, bool]]) -> int:
         end += len(line)
         if not line.strip():
             continue
+        c = next(curves, None)
         try:
             record = json.loads(line)
-            a, b, with_oracle = work[skip]
-            same = (record["curve"] == {"a": a, "b": b}
+            same = (c is not None and record["curve"] == curve_to_dict(c)
                     and (record["oracle"] is not None) == with_oracle)
-        except (ValueError, TypeError, KeyError, IndexError):
+        except (ValueError, TypeError, KeyError):
             same = False
         if not same:
             raise ValueError(f"{existing.name} holds a different scan (record "
@@ -250,40 +256,30 @@ def _resume_point(existing, work: Sequence[Tuple[str, str, bool]]) -> int:
 
 
 def _run_scan(ns: argparse.Namespace) -> int:
-    if bool(ns.box) == bool(ns.family):
-        raise ValueError("scan needs exactly one of --box or --family")
-    if ns.box:
-        curves = _box_curves(ns.box)
-    else:
-        curves = _family_curves(ns.family, ns.param)
-    work = [(str(c.a), str(c.b), ns.oracle) for c in curves]
-
-    skip = 0
-    sink = sys.stdout
-    close_sink = False
+    make, axes = _scan_grid(ns)
+    curves = _curves(make, axes)
+    left = math.prod(map(len, axes))  # grid points not yet written, at most
     if ns.out:
         try:
             with open(ns.out, "rb+") as existing:
-                skip = _resume_point(existing, work)
+                left -= _resume_point(existing, curves, ns.oracle)
         except FileNotFoundError:
             pass
-        sink = open(ns.out, "a", encoding="utf-8")
-        close_sink = True
-    work = work[skip:]
-
-    try:
-        if ns.jobs > 1:
+    record_line = functools.partial(_record_line, with_oracle=ns.oracle)
+    workers = min(ns.jobs, left, os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        sink = stack.enter_context(open(ns.out, "a", encoding="utf-8")) if ns.out else sys.stdout
+        if workers > 1:
             import multiprocessing
 
-            with multiprocessing.Pool(ns.jobs) as pool:
-                for line in pool.imap(_record_worker, work, chunksize=4):
-                    print(line, file=sink)
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            # several chunks per worker, each small enough to keep the output flowing
+            chunk = max(1, min(64, left // (4 * workers)))
+            lines = pool.imap(record_line, curves, chunksize=chunk)
         else:
-            for item in work:
-                print(_record_worker(item), file=sink)
-    finally:
-        if close_sink:
-            sink.close()
+            lines = map(record_line, curves)
+        for line in lines:
+            print(line, file=sink)
     return 0
 
 

@@ -70,7 +70,8 @@ class Genus2Model:
 def new_curve(a: RationalLike, b: RationalLike) -> Curve:
     """Construct a curve, rejecting singular (a, b)."""
     a, b = Fraction(a), Fraction(b)
-    if b == 0 or a * a == 4 * b:
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    if bn == 0 or an * an * bd == 4 * bn * ad * ad:  # b = 0 or a^2 = 4b
         raise DegenerateCurve(
             f"discriminant vanishes for (a, b) = ({format_rational(a)}, {format_rational(b)})"
         )
@@ -95,10 +96,11 @@ def is_special(c: Curve) -> bool:
 
 
 def bigonal_dual(c: Curve) -> Curve:
-    """The dual curve (8a, 16*(a^2 - 4b)); smooth automatically."""
+    """The dual curve (a', b') = (8a, 16*(a^2 - 4b)), built unchecked: it is smooth
+    since Delta != 0 gives b' != 0 and a'^2 - 4b' = 64a^2 - 64(a^2 - 4b) = 256b != 0."""
     (an, ad), (bn, bd) = c.a.as_integer_ratio(), c.b.as_integer_ratio()
-    b_dual = Fraction(16 * (an * an * bd - 4 * bn * ad * ad), ad * ad * bd)
-    return new_curve(Fraction(8 * an, ad), b_dual)
+    return Curve(Fraction(8 * an, ad),
+                 Fraction(16 * (an * an * bd - 4 * bn * ad * ad), ad * ad * bd))
 
 
 def sextic_twist(c: Curve, delta: RationalLike) -> Curve:

@@ -60,6 +60,10 @@ CM_TABLE = {
     Fraction(-11390625, 4913): -408,
 }
 
+# CM_TABLE keyed by j and by 1/j: no 1/j is another entry's j, and j = 1, -1
+# are their own inverses with the same discriminant
+_CM_BY_J_OR_INVERSE = {**{1 / j: disc for j, disc in CM_TABLE.items()}, **CM_TABLE}
+
 # Sato-Tate group per Galois label; nothing is asserted for D1/D2
 SATO_TATE_LABELS = {"D6": "J(E_6)", "D3": "J(E_3)"}
 
@@ -99,11 +103,7 @@ def endo_field(c: Curve) -> EndoFieldDescriptor:
 
 def cm_discriminant(c: Curve) -> Optional[int]:
     """CM discriminant when j or 1/j is in the rational CM table, else None."""
-    j = j_invariant(c)
-    hit = CM_TABLE.get(j)
-    if hit is None:
-        hit = CM_TABLE.get(1 / j)
-    return hit
+    return _CM_BY_J_OR_INVERSE.get(j_invariant(c))
 
 
 def end_ring_from(field: EndoFieldDescriptor, cm: Optional[int]) -> EndRing:

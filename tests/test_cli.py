@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
+import resource
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 
 from prymlab.cli import main
 from prymlab.curves import integral_model, new_curve
+from prymlab.records import classify_record
 from prymlab.oracle import prym_order
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -111,14 +115,17 @@ def test_oracle_verb(capsys):
     assert data["per_prime"][1]["prym_order"] == 63
 
 
+def _child_env(**env):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
+
+
 def run_process(*argv, **env):
     """The CLI in a fresh interpreter, with `env` added to the environment; an
     input that never finishes raises TimeoutExpired."""
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "prymlab.cli", *argv],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, timeout=120, env=_child_env(**env),
     )
 
 
@@ -290,6 +297,96 @@ def test_scan_jobs_byte_identical(capsys, tmp_path):
     run(capsys, "scan", "--box", "a=-3..3", "b=1..4", "--jobs", "4",
         "--out", str(four))
     assert one.read_text() == four.read_text()
+
+
+def test_scan_family_oracle_jobs_byte_identical(capsys):
+    args = ("scan", "--family", "table2_Z6", "--param", "c=1..6", "--oracle")
+    code1, one, _ = run(capsys, *args, "--jobs", "1")
+    code2, two, _ = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert len(one.splitlines()) == 6 and one == two
+
+
+class _FakePool:
+    """multiprocessing.Pool stand-in: records its worker count and chunk size
+    and maps in-process."""
+
+    started = []  # [processes, chunksize] of each pool
+
+    def __init__(self, processes):
+        self.calls = [processes]
+        _FakePool.started.append(self.calls)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, iterable, chunksize=1):
+        self.calls.append(chunksize)
+        return map(fn, iterable)
+
+
+def test_scan_pool_bounded_by_grid_and_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cases = [  # jobs, box, worker count started (None: no pool)
+        ("1000", ("a=1..1", "b=1..2"), 2),
+        ("1000", ("a=1..3", "b=1..4"), 8),
+        ("3", ("a=1..3", "b=1..4"), 3),
+        ("1000", ("a=1..1", "b=1..1"), None),
+    ]
+    for jobs, box, workers in cases:
+        _, expected, _ = run(capsys, "scan", "--box", *box)
+        del _FakePool.started[:]
+        code, out, _ = run(capsys, "scan", "--box", *box, "--jobs", jobs)
+        assert code == 0 and out == expected
+        if workers is None:
+            assert _FakePool.started == []
+        else:
+            [(processes, chunksize)] = _FakePool.started
+            assert processes == workers and 1 <= chunksize <= 64
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    del _FakePool.started[:]
+    run(capsys, "scan", "--box", "a=1..3", "b=1..4", "--jobs", "4")
+    assert _FakePool.started == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--box", "a=1..2", "c=1..2"],
+    ["--box", "a=1..2", "b=1..2", "--family", "table2_Z6"],
+    ["--family", "table2_Z6"],
+    ["--family", "table2_Z6", "--param", "c=1..2", "--param", "z=1..2"],
+], ids=["box-variable", "both-modes", "missing-param", "unknown-param"])
+def test_scan_bad_arguments_never_touch_out(capsys, tmp_path, args):
+    out_path = tmp_path / "scan.jsonl"
+    code, out, err = run(capsys, "scan", *args, "--out", str(out_path))
+    assert code == 1 and err.startswith("error:") and out == ""
+    assert not out_path.exists()
+
+
+def test_scan_streams_a_huge_box_under_a_memory_cap():
+    # 10^8 curves in a child limited to 512 MB of address space: the first
+    # record arrives because no list of the grid is ever built
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prymlab.cli", "scan", "--box", "a=0..9999", "b=1..10000"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=_child_env(), preexec_fn=cap_memory,
+    )
+    timer = threading.Timer(60, proc.kill)
+    timer.start()
+    try:
+        first = proc.stdout.readline()
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert first == json.dumps(classify_record(new_curve(0, 1)), sort_keys=True) + "\n"
 
 
 def test_scan_rejects_conflicting_modes(capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from prymlab import classify_record
+from prymlab import classify_record, endomorphisms
 from prymlab.curves import bigonal_dual, discriminant, j_invariant, new_curve, sextic_twist
 from prymlab.endomorphisms import (
     CM_TABLE,
@@ -119,6 +119,27 @@ def test_cm_negative_samples():
         if cm_discriminant(c) is not None:
             hits += 1
     assert hits <= 2  # CM is rare in a random box
+
+
+def test_cm_lookup_by_j_or_inverse():
+    # the one-lookup table: no inverted key lands on another entry, and
+    # j = 1, -1 are their own inverses with the same discriminant
+    table = endomorphisms._CM_BY_J_OR_INVERSE
+    for j, disc in CM_TABLE.items():
+        assert 1 / j not in CM_TABLE or 1 / j == j in (1, -1)
+        assert table[j] == table[1 / j] == disc
+    assert len(table) == 2 * len(CM_TABLE) - 2
+
+    def two_step(j):
+        hit = CM_TABLE.get(j)
+        return CM_TABLE.get(1 / j) if hit is None else hit
+
+    rng = random.Random(13)
+    js = list(CM_TABLE) + [1 / j for j in CM_TABLE]
+    js += [Fraction(rng.randint(-10 ** rng.randint(1, 8), 10 ** rng.randint(1, 8)) or 1,
+                    rng.randint(1, 10 ** rng.randint(1, 8))) for _ in range(500)]
+    for j in js:
+        assert cm_discriminant(_curve_with_j(j)) == two_step(j)
 
 
 def test_end_ring_ladder():
