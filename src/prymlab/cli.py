@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -47,10 +46,10 @@ from .errors import (
     NotACube,
     UnknownFamily,
 )
-from .families import get_family, instantiate, list_families
+from .families import check_params, get_family, instantiate, list_families
 from .oracle import good_primes
 from .rationals import parse_rational
-from .records import DEFAULT_ORACLE_PRIMES, classify_record
+from .records import DEFAULT_ORACLE_PRIMES, classify_record, oracle_summary
 
 USAGE_EXIT = 1
 DEGENERATE_EXIT = 2
@@ -207,19 +206,27 @@ def _scan_grid(ns: argparse.Namespace) -> Tuple[Callable[..., Curve], List[Seque
     family = get_family(ns.family)
     names = family.param_names
     ranges.update(map(_parse_range, ns.param))
-    missing = [n for n in names if n not in ranges]
-    if missing:
-        raise ValueError(f"family {family.id}: missing --param for {missing}")
-    extra = [n for n in ranges if n not in names]
-    if extra:
-        raise UnknownFamily(f"family {family.id}: unknown parameters {extra}")
+    check_params(family, ranges)
     return (lambda *values: instantiate(family.id, dict(zip(names, values))),
             [ranges[n] for n in names])
 
 
+def _grid(axes: Sequence[Sequence]) -> Iterator[Tuple]:
+    # the grid in order, last axis fastest; unlike itertools.product, it never
+    # copies an axis, so a range of any length stays a range
+    if len(axes) == 1:
+        return ((value,) for value in axes[0])
+    return ((value, *rest) for value in axes[0] for rest in _grid(axes[1:]))
+
+
+def _axis_size(axis: Sequence) -> int:
+    # from a range's bounds: len() of a range longer than sys.maxsize overflows
+    return axis.stop - axis.start if isinstance(axis, range) else len(axis)
+
+
 def _curves(make: Callable[..., Curve], axes: Sequence[Sequence]) -> Iterator[Curve]:
-    # the grid in order (last axis fastest), degenerate points skipped
-    for values in itertools.product(*axes):
+    # the grid in order, degenerate points skipped
+    for values in _grid(axes):
         try:
             yield make(*values)
         except (DegenerateCurve, DegenerateParameters):
@@ -258,7 +265,7 @@ def _resume_point(existing, curves: Iterator[Curve], with_oracle: bool) -> int:
 def _run_scan(ns: argparse.Namespace) -> int:
     make, axes = _scan_grid(ns)
     curves = _curves(make, axes)
-    left = math.prod(map(len, axes))  # grid points not yet written, at most
+    left = math.prod(map(_axis_size, axes))  # grid points not yet written, at most
     if ns.out:
         try:
             with open(ns.out, "rb+") as existing:
@@ -329,8 +336,6 @@ def _run(ns: argparse.Namespace) -> int:
         primes = _parse_primes(ns.primes)
         if primes is None:
             primes = good_primes(curve, ns.count)
-        from .records import oracle_summary
-
         print(json.dumps(oracle_summary(curve, primes)))
         return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from .curves import Curve, new_curve
 from .errors import DegenerateCurve, DegenerateParameters, UnknownFamily
@@ -198,15 +198,20 @@ def get_family(family_id: str) -> FamilySpec:
     return spec
 
 
+def check_params(spec: FamilySpec, names: Collection[str]) -> None:
+    """UnknownFamily unless `names` are exactly the family's parameters."""
+    missing = [p for p in spec.param_names if p not in names]
+    if missing:
+        raise UnknownFamily(f"family {spec.id}: missing parameters {missing}")
+    extra = [p for p in names if p not in spec.param_names]
+    if extra:
+        raise UnknownFamily(f"family {spec.id}: unknown parameters {extra}")
+
+
 def instantiate(family_id: str, params: Mapping[str, RationalLike]) -> Curve:
     """Evaluate a family's formulas exactly at the given parameters."""
     spec = get_family(family_id)
-    missing = [p for p in spec.param_names if p not in params]
-    if missing:
-        raise UnknownFamily(f"family {spec.id}: missing parameters {missing}")
-    extra = [p for p in params if p not in spec.param_names]
-    if extra:
-        raise UnknownFamily(f"family {spec.id}: unknown parameters {extra}")
+    check_params(spec, params)
     env = {name: Fraction(params[name]) for name in spec.param_names}
     try:
         a = _evaluate(spec.a_formula, env)

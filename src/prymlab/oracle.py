@@ -78,13 +78,17 @@ class PrymCount:
 
 
 def good_primes(c: Curve, count: int) -> List[int]:
-    """First `count` primes p >= 5 not dividing 6*Delta (integral model); none if count <= 0."""
+    """First `count` primes p >= 5 not dividing 6*Delta (integral model); none if
+    count <= 0.  BadPrime at the first good prime above the cap, as soon as the
+    enumeration reaches it."""
     bad = _six_delta(integral_model(c))
+    cap = _prime_cap()
     out: List[int] = []
     primes = primes_from(5)
     while len(out) < count:
         p = next(primes)
         if bad % p != 0:
+            _check_cap(p, cap)
             out.append(p)
     return out
 
@@ -106,8 +110,12 @@ def _require_good(m: Curve, p: int) -> None:
         raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
     if _six_delta(m) % p == 0:
         raise BadPrime(f"p = {p} divides 6*Delta")
-    if p > _prime_cap():
-        raise BadPrime(f"p = {p} above enumeration cap {_prime_cap()}")
+    _check_cap(p, _prime_cap())
+
+
+def _check_cap(p: int, cap: int) -> None:
+    if p > cap:
+        raise BadPrime(f"p = {p} above enumeration cap {cap}")
 
 
 def require_good_primes(c: Curve, primes: Sequence[int]) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .factorization import is_prime
+from prymlab.factorization import is_prime
 
 
 def smallest_irreducible(p: int, k: int) -> Tuple[int, ...]:

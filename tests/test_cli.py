@@ -120,12 +120,12 @@ def _child_env(**env):
     return dict(os.environ, PYTHONPATH=path, **env)
 
 
-def run_process(*argv, **env):
+def run_process(*argv, timeout=120, **env):
     """The CLI in a fresh interpreter, with `env` added to the environment; an
-    input that never finishes raises TimeoutExpired."""
+    input that does not finish within `timeout` seconds raises TimeoutExpired."""
     return subprocess.run(
         [sys.executable, "-m", "prymlab.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=_child_env(**env),
+        capture_output=True, text=True, timeout=timeout, env=_child_env(**env),
     )
 
 
@@ -150,6 +150,15 @@ def test_oracle_prime_above_cap_refused_before_counting():
     proc = run_process("oracle", "3", "4", "--count", "20", PRYMLAB_PRIME_CAP="60")
     assert proc.returncode == 1
     assert "p = 61 above enumeration cap 60" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_oracle_huge_count_refused_at_the_first_prime_above_cap():
+    # good_primes stops at 503 instead of enumerating 10^6 good primes (over
+    # 30 s) before the cap check; the message and exit code are the same
+    proc = run_process("oracle", "3", "4", "--count", "1000000", timeout=10)
+    assert proc.returncode == 1
+    assert "p = 503 above enumeration cap 499" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -367,26 +376,29 @@ def test_scan_bad_arguments_never_touch_out(capsys, tmp_path, args):
 
 
 def test_scan_streams_a_huge_box_under_a_memory_cap():
-    # 10^8 curves in a child limited to 512 MB of address space: the first
-    # record arrives because no list of the grid is ever built
+    # 10^8 curves, and an a-axis of 10^20 + 1 values (its length overflows
+    # len()), each in a child limited to 512 MB of address space: the first
+    # record arrives because neither the grid nor an axis is ever built
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "prymlab.cli", "scan", "--box", "a=0..9999", "b=1..10000"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env=_child_env(), preexec_fn=cap_memory,
-    )
-    timer = threading.Timer(60, proc.kill)
-    timer.start()
-    try:
-        first = proc.stdout.readline()
-    finally:
-        timer.cancel()
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-    assert first == json.dumps(classify_record(new_curve(0, 1)), sort_keys=True) + "\n"
+    first_record = json.dumps(classify_record(new_curve(0, 1)), sort_keys=True) + "\n"
+    for box in (("a=0..9999", "b=1..10000"), (f"a=0..{10 ** 20}", "b=1..2")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prymlab.cli", "scan", "--box", *box],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=_child_env(), preexec_fn=cap_memory,
+        )
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            first = proc.stdout.readline()
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert first == first_record, box
 
 
 def test_scan_rejects_conflicting_modes(capsys):
@@ -405,3 +417,30 @@ def test_negative_rational_positional(capsys):
     code, out, _ = run(capsys, "classify", "-5/9", "2", "--json")
     assert code == 0
     assert json.loads(out)["curve"]["a"] == "-5/9"
+
+
+def test_package_holds_no_test_only_module():
+    # the CLI loads every module the package ships; the brute-force field
+    # tower lives beside the tests, not in the library
+    moved = "finitefields"
+    assert (Path(__file__).resolve().parent / f"{moved}.py").is_file()
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import prymlab.cli\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(prymlab.__path__))\n"
+        "print(names)\n"
+        "print([n for n in names if 'prymlab.' + n not in sys.modules])\n"
+        "try:\n"
+        f"    importlib.import_module('prymlab.{moved}')\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+        "else:\n"
+        "    print('imported')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    listed, unloaded, missing = proc.stdout.splitlines()
+    assert "cli" in listed and moved not in listed
+    assert unloaded == "[]"
+    assert missing == f"prymlab.{moved}"

@@ -8,7 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from prymlab.finitefields import FiniteField, smallest_irreducible
+from finitefields import FiniteField, smallest_irreducible
+
+_HERE = Path(__file__).resolve().parent
+
+
+def _run_optimized(code):
+    """Stdout of `code` under python -O, with src/ and this directory (which
+    holds the reference field module) on the path."""
+    path = os.pathsep.join(filter(None, [str(_HERE.parent / "src"), str(_HERE),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_smallest_irreducible_known():
@@ -28,9 +41,8 @@ def test_field_argument_checks_under_O():
                         (lambda: smallest_irreducible(7, 4), "k in \\(2, 3\\), got 4")):
         with pytest.raises(ValueError, match=match):
             call()
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
-        "from prymlab.finitefields import FiniteField, smallest_irreducible\n"
+        "from finitefields import FiniteField, smallest_irreducible\n"
         "for call in (lambda: FiniteField(4, 2), lambda: FiniteField(7, 4),\n"
         "             lambda: smallest_irreducible(7, 4)):\n"
         "    try:\n"
@@ -38,11 +50,7 @@ def test_field_argument_checks_under_O():
         "    except ValueError as exc:\n"
         "        print('ValueError:', exc)\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
+    assert _run_optimized(code) == (
         "ValueError: FiniteField needs a prime p >= 5, got 4\n"
         "ValueError: FiniteField needs k in (1, 2, 3), got 4\n"
         "ValueError: smallest_irreducible needs k in (2, 3), got 4\n"
@@ -61,9 +69,8 @@ def test_element_checks_under_O():
                         (lambda: x * FiniteField(7, 3).element(1, 1, 1), "one field")):
         with pytest.raises(ValueError, match=match):
             call()
-    src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
-        "from prymlab.finitefields import FiniteField\n"
+        "from finitefields import FiniteField\n"
         "f = FiniteField(7, 2)\n"
         "for call in (lambda: f.element(3, 1) ** -1, lambda: f.element(1, 2, 3),\n"
         "             lambda: f.element(1, 1) + FiniteField(5, 2).element(1, 1),\n"
@@ -74,11 +81,7 @@ def test_element_checks_under_O():
         "    except ValueError as exc:\n"
         "        print('ValueError:', exc)\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
+    assert _run_optimized(code) == (
         "ValueError: FiniteFieldElement power needs an exponent >= 0, got -1\n"
         "ValueError: F_7^2 element needs 2 coordinates, got 3\n"
         + "ValueError: FiniteFieldElement arithmetic needs both operands in one field\n" * 3

@@ -14,7 +14,6 @@ import pytest
 from prymlab import oracle, records
 from prymlab.curves import elliptic_quotients, new_curve, sextic_twist
 from prymlab.errors import BadPrime, InternalInconsistency, WeilBoundViolation
-from prymlab.finitefields import FiniteField
 from prymlab.oracle import (
     count_points_C,
     count_points_C_naive,
@@ -24,6 +23,8 @@ from prymlab.oracle import (
     prym_order,
     torsion_multiplicative_bound,
 )
+
+from finitefields import FiniteField  # the brute-force reference, beside these tests
 
 
 def _c(a, b):
@@ -233,6 +234,11 @@ def test_prime_cap_env(monkeypatch):
         prym_order(c, 13)
     monkeypatch.setenv("PRYMLAB_PRIME_CAP", "60")
     assert prym_order(c, 53).order >= 1  # raised cap unlocks larger primes
+    # good_primes stops at the first good prime above the cap, not after
+    # enumerating a million primes
+    assert good_primes(c, 15)[-1] == 59
+    with pytest.raises(BadPrime, match=r"^p = 61 above enumeration cap 60$"):
+        good_primes(c, 10 ** 6)
 
 
 def test_good_primes():
