@@ -34,8 +34,7 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .curves import Curve, bigonal_dual, curve_to_dict, integral_model, new_curve, sextic_twist
 from .errors import (
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inst = fam_sub.add_parser("instantiate", help="evaluate a family")
     p_inst.add_argument("id", help="family id")
     p_inst.add_argument("--param", action="append", default=[],
-                        metavar="NAME=VALUE", help="parameter (repeatable)")
+                        metavar="NAME=VALUE", help="parameter (repeatable, each NAME once)")
 
     p_oracle = sub.add_parser("oracle", help="point counts and torsion bound")
     curve_args(p_oracle)
@@ -112,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of good primes when --primes is absent")
 
     p_scan = sub.add_parser("scan", help="batch classification to JSONL")
-    p_scan.add_argument("--box", nargs="+", metavar="VAR=LO..HI",
+    p_scan.add_argument("--box", nargs="+", action="extend", metavar="VAR=LO..HI",
                         help="integer box, e.g. --box a=-10..10 b=1..10")
     p_scan.add_argument("--family", help="family id to sweep")
     p_scan.add_argument("--param", action="append", default=[],
                         metavar="NAME=LO..HI|NAME=VALUE",
-                        help="family parameter value or integer range (repeatable)")
+                        help="family parameter value or integer range (each NAME once)")
     p_scan.add_argument("--out", help="output JSONL path (appends; resumes)")
     p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_scan.add_argument("--oracle", action="store_true", help="include oracle data")
@@ -130,28 +129,28 @@ def _parse_primes(text: Optional[str]) -> Optional[List[int]]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _parse_params(pairs: Iterable[str]) -> Dict[str, Fraction]:
-    out: Dict[str, Fraction] = {}
-    for pair in pairs:
-        name, eq, value = pair.partition("=")
+def _assignments(texts: Iterable[str], parse_value: Callable[[str], Any]) -> Dict[str, Any]:
+    """NAME=VALUE arguments as a dict; each NAME at most once."""
+    out: Dict[str, Any] = {}
+    for text in texts:
+        name, eq, value = text.partition("=")
         if not eq or not name:
-            raise ValueError(f"expected NAME=VALUE, got {pair!r}")
-        out[name] = parse_rational(value)
+            raise ValueError(f"expected NAME=VALUE, got {text!r}")
+        if name in out:
+            raise ValueError(f"{name} given twice")
+        out[name] = parse_value(value)
     return out
 
 
-def _parse_range(text: str) -> Tuple[str, Sequence]:
-    """NAME=LO..HI (integer endpoints, inclusive) or NAME=VALUE."""
-    name, eq, value = text.partition("=")
-    if not eq or not name:
-        raise ValueError(f"expected NAME=VALUE or NAME=LO..HI, got {text!r}")
-    if ".." in value:
-        lo_text, hi_text = value.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range in {text!r}")
-        return name, range(lo, hi + 1)
-    return name, [parse_rational(value)]
+def _axis(text: str) -> Sequence:
+    """LO..HI (integer endpoints, inclusive) or one rational."""
+    if ".." not in text:
+        return [parse_rational(text)]
+    lo_text, hi_text = text.split("..", 1)
+    lo, hi = int(lo_text), int(hi_text)
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _human_report(record: Dict) -> str:
@@ -194,18 +193,14 @@ def _scan_grid(ns: argparse.Namespace) -> Tuple[Callable[..., Curve], List[Seque
     before the first curve is made or --out is opened."""
     if bool(ns.box) == bool(ns.family):
         raise ValueError("scan needs exactly one of --box or --family")
-    ranges: Dict[str, Sequence] = {}
     if ns.box:
-        for name, values in map(_parse_range, ns.box):
-            if name not in ("a", "b"):
-                raise ValueError(f"box variables are a and b, got {name!r}")
-            ranges[name] = values
-        if set(ranges) != {"a", "b"}:
-            raise ValueError("scan --box needs both a=LO..HI and b=LO..HI")
-        return new_curve, [ranges["a"], ranges["b"]]
+        box = _assignments(ns.box, _axis)
+        if set(box) != {"a", "b"}:
+            raise ValueError(f"scan --box takes a=LO..HI and b=LO..HI, got {sorted(box)}")
+        return new_curve, [box["a"], box["b"]]
     family = get_family(ns.family)
     names = family.param_names
-    ranges.update(map(_parse_range, ns.param))
+    ranges = _assignments(ns.param, _axis)
     check_params(family, ranges)
     return (lambda *values: instantiate(family.id, dict(zip(names, values))),
             [ranges[n] for n in names])
@@ -327,7 +322,7 @@ def _run(ns: argparse.Namespace) -> int:
             ]
             print(json.dumps(payload, indent=2))
             return 0
-        curve = instantiate(ns.id, _parse_params(ns.param))
+        curve = instantiate(ns.id, _assignments(ns.param, parse_rational))
         print(json.dumps(curve_to_dict(curve)))
         return 0
 

@@ -23,8 +23,8 @@ class UnknownFamily(PrymlabError):
 
 
 class BadPrime(PrymlabError):
-    """Prime unusable by the oracle: p <= 3, p | 6*disc, or above the
-    enumeration cap."""
+    """Prime unusable by the oracle: p <= 3, p | 6*disc, above the
+    enumeration cap, or a repeat of an earlier prime in its list."""
 
 
 # -- mathematical rejection (CLI exit 2) ---------------------------------------

@@ -119,10 +119,15 @@ def _check_cap(p: int, cap: int) -> None:
 
 
 def require_good_primes(c: Curve, primes: Sequence[int]) -> None:
-    """BadPrime for the first prime in `primes` the oracle cannot use on c."""
+    """BadPrime for the first prime in `primes` the oracle cannot use on c or
+    that repeats an earlier one."""
     m = integral_model(c)
+    seen = set()
     for p in primes:
+        if p in seen:
+            raise BadPrime(f"p = {p} given twice")
         _require_good(m, p)
+        seen.add(p)
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:

@@ -18,7 +18,6 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 

@@ -104,6 +104,9 @@ def test_family_errors(capsys):
         capsys, "family", "instantiate", "table2_Z3xZ6", "--param", "c=1"
     )
     assert code == 2  # degenerate parameters
+    code, out, err = run(capsys, "family", "instantiate", "table2_Z6",
+                         "--param", "c=1", "--param", "c=5")
+    assert (code, out, err) == (1, "", "error: c given twice\n")
 
 
 def test_oracle_verb(capsys):
@@ -216,6 +219,9 @@ def test_classify_oracle_on_a_large_denominator_finishes():
 def test_oracle_bad_prime_exit_1(capsys):
     code, _, err = run(capsys, "oracle", "-5", "4", "--primes", "4")
     assert code == 1
+    for verb in ("oracle", "classify"):
+        code, out, err = run(capsys, verb, "3", "4", "--primes", "5,5")
+        assert (code, out, err) == (1, "", "error: p = 5 given twice\n")
 
 
 def test_scan_box_deterministic(capsys, tmp_path):
@@ -367,12 +373,24 @@ def test_scan_pool_bounded_by_grid_and_cpus(capsys, monkeypatch):
     ["--box", "a=1..2", "b=1..2", "--family", "table2_Z6"],
     ["--family", "table2_Z6"],
     ["--family", "table2_Z6", "--param", "c=1..2", "--param", "z=1..2"],
-], ids=["box-variable", "both-modes", "missing-param", "unknown-param"])
+    ["--family", "table2_Z6", "--param", "c=1..3", "--param", "c=5..6"],
+    ["--box", "a=1..2", "b=1..2", "a=5..5"],
+    ["--box", "a=1..2", "b=1..2", "--box", "a=5..5", "b=1..1"],
+], ids=["box-variable", "both-modes", "missing-param", "unknown-param", "repeated-param",
+        "repeated-box-variable", "repeated-box-flag"])
 def test_scan_bad_arguments_never_touch_out(capsys, tmp_path, args):
     out_path = tmp_path / "scan.jsonl"
     code, out, err = run(capsys, "scan", *args, "--out", str(out_path))
     assert code == 1 and err.startswith("error:") and out == ""
     assert not out_path.exists()
+
+
+def test_scan_box_split_across_flags(capsys):
+    # --box extends: the variables may come in several flags, in any order
+    _, expected, _ = run(capsys, "scan", "--box", "a=-1..1", "b=2..3")
+    for box in (["--box", "a=-1..1", "--box", "b=2..3"], ["--box", "b=2..3", "--box", "a=-1..1"]):
+        code, out, err = run(capsys, "scan", *box)
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_scan_streams_a_huge_box_under_a_memory_cap():

@@ -324,9 +324,10 @@ def test_caller_input_checks_under_O():
     )
 
 
-@pytest.mark.parametrize("bad", [4, 7, 503])
+@pytest.mark.parametrize("bad", [4, 7, 503, 5])
 def test_prime_list_checked_before_any_count(monkeypatch, bad):
-    # C(3, 4) has Delta = -448 = -2^6 * 7: 4 is composite, 7 is bad, 503 is above the cap
+    # C(3, 4) has Delta = -448 = -2^6 * 7: 4 is composite, 7 is bad, 503 is above
+    # the cap, 5 repeats the list's first prime
     real = oracle.prym_order
     calls = []
 
@@ -346,6 +347,16 @@ def test_prime_list_checked_before_any_count(monkeypatch, bad):
     # the first bad prime in list order names the error
     with pytest.raises(BadPrime, match="p = 503 above enumeration cap 499"):
         records.oracle_summary(c, [5, 503, 7])
+
+
+def test_prime_list_refuses_a_repeat_in_list_order():
+    c = _c(3, 4)
+    for check in (oracle.require_good_primes, records.oracle_summary,
+                  torsion_multiplicative_bound):
+        with pytest.raises(BadPrime, match=r"^p = 11 given twice$"):
+            check(c, [5, 11, 13, 11, 7])
+        with pytest.raises(BadPrime, match=r"^p = 7 divides 6\*Delta$"):
+            check(c, [5, 7, 5])
 
 
 def test_prym_order_divisibility_by_structural_torsion():
