@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_twist = sub.add_parser("twist", help="sextic twist by delta")
     curve_args(p_twist)
     p_twist.add_argument("delta", help='nonzero rational "p/q" or "p"')
-    _allow_negative_rationals(p_twist)
 
     p_family = sub.add_parser("family", help="family registry")
     fam_sub = p_family.add_subparsers(dest="family_verb", required=True)
@@ -106,9 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="point counts and torsion bound")
     curve_args(p_oracle)
-    p_oracle.add_argument("--primes", help="comma-separated primes")
-    p_oracle.add_argument("--count", type=int, default=DEFAULT_ORACLE_PRIMES,
-                          help="number of good primes when --primes is absent")
+    which_primes = p_oracle.add_mutually_exclusive_group()
+    which_primes.add_argument("--primes", help="comma-separated primes")
+    # default None, not the count: argparse would let --count equal to its
+    # default pass beside --primes
+    which_primes.add_argument("--count", type=int,
+                              help=f"number of good primes (default {DEFAULT_ORACLE_PRIMES})")
 
     p_scan = sub.add_parser("scan", help="batch classification to JSONL")
     p_scan.add_argument("--box", nargs="+", action="extend", metavar="VAR=LO..HI",
@@ -193,7 +195,11 @@ def _scan_grid(ns: argparse.Namespace) -> Tuple[Callable[..., Curve], List[Seque
     before the first curve is made or --out is opened."""
     if bool(ns.box) == bool(ns.family):
         raise ValueError("scan needs exactly one of --box or --family")
+    if ns.jobs < 1:
+        raise ValueError(f"scan --jobs takes a positive count, got {ns.jobs}")
     if ns.box:
+        if ns.param:
+            raise ValueError("scan --param goes with --family, not --box")
         box = _assignments(ns.box, _axis)
         if set(box) != {"a", "b"}:
             raise ValueError(f"scan --box takes a=LO..HI and b=LO..HI, got {sorted(box)}")
@@ -330,7 +336,7 @@ def _run(ns: argparse.Namespace) -> int:
         curve = integral_model(new_curve(parse_rational(ns.a), parse_rational(ns.b)))
         primes = _parse_primes(ns.primes)
         if primes is None:
-            primes = good_primes(curve, ns.count)
+            primes = good_primes(curve, DEFAULT_ORACLE_PRIMES if ns.count is None else ns.count)
         print(json.dumps(oracle_summary(curve, primes)))
         return 0
 
@@ -345,8 +351,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
         return _run(ns)
-    except SystemExit:
-        raise
     except DegenerateCurve:
         print("error: discriminant vanishes", file=sys.stderr)
         return DEGENERATE_EXIT

@@ -25,9 +25,9 @@ from typing import Collection, Dict, List, Mapping, Optional, Tuple
 from .curves import Curve, new_curve
 from .errors import DegenerateCurve, DegenerateParameters, UnknownFamily
 from .rationals import RationalLike
-from .torsion import GROUP_NAMES
+from .torsion import CLASSIFICATION
 
-_SHAPES = {name: shape for shape, name in GROUP_NAMES.items()}  # name -> (m, n)
+_SHAPES = {row[0]: shape for shape, row in CLASSIFICATION.items()}  # name -> (m, n)
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,7 @@ def count_points_E(e: EllipticModel, p: int) -> int:
     c = _reduce_fraction(Fraction(e.c), p)
     if c == 0:
         raise BadPrime(f"p = {p} divides 6c in y^2 = x^3 + c")
+    _check_cap(p, _prime_cap())
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
     roots = _square_root_counts(p)

@@ -48,22 +48,20 @@ from .rationals import format_rational, is_nth_power
 EXACT = "Exact"
 LOWER_BOUND = "LowerBound"
 
-# (m, n) -> printed group name
-GROUP_NAMES = {
-    (0, 0): "trivial",
-    (1, 0): "Z/2",
-    (0, 1): "Z/3",
-    (1, 1): "Z/6",
-    (2, 0): "Z/2 x Z/2",
-    (0, 2): "Z/3 x Z/3",
-    (1, 2): "Z/6 x Z/3",
+# The classification, one row per shape (m, n) of (Z/2)^m x (Z/3)^n: the
+# printed name, the invariant factors (largest first) and the End(P)-module
+# label for each real-multiplication ring that can carry the group.  A shape
+# missing from the table, or an RM ring missing from its row, is impossible.
+CLASSIFICATION = {
+    (0, 0): ("trivial", (), {"Z_sqrt2": "trivial", "Z_sqrt6": "trivial"}),
+    (1, 0): ("Z/2", (2,), {"Z_sqrt2": "mod_a2", "Z_sqrt6": "mod_a2"}),
+    (0, 1): ("Z/3", (3,), {"Z_sqrt6": "mod_a3"}),
+    (1, 1): ("Z/6", (6,), {}),
+    (2, 0): ("Z/2 x Z/2", (2, 2), {}),
+    (0, 2): ("Z/3 x Z/3", (3, 3), {"Z_sqrt2": "mod_a3"}),
+    (1, 2): ("Z/6 x Z/3", (6, 3), {}),
 }
-
-# admissible (m, n) per real-multiplication ring, with the module label
-_RM_MODULES = {
-    "Z_sqrt2": {(0, 0): "trivial", (1, 0): "mod_a2", (0, 2): "mod_a3"},
-    "Z_sqrt6": {(0, 0): "trivial", (1, 0): "mod_a2", (0, 1): "mod_a3"},
-}
+_RM_KINDS = ("Z_sqrt2", "Z_sqrt6")
 
 
 @dataclass(frozen=True)
@@ -182,39 +180,25 @@ def torsion_group(
         # 2-torsion is twist-invariant and (Z/2)^2 x Z/3 is excluded, so a
         # maximal 2-part with any 3-part signal is impossible.
         raise InternalInconsistency(f"(Z/2)^2 with 3-part signal on {c}")
-    if (m, n) not in GROUP_NAMES:
+    row = CLASSIFICATION.get((m, n))
+    if row is None:
         raise InternalInconsistency(f"group shape ({m}, {n}) off the list on {c}")
+    name, factors, modules = row
     if ring is None:
         ring = end_ring(c)
-    module = _end_module_label(ring, m, n, c)
+    module = modules.get(ring.kind)
+    if module is None and ring.kind in _RM_KINDS:
+        raise InternalInconsistency(
+            f"torsion ({m}, {n}) impossible for End = {ring.kind} on {c}"
+        )
     return TorsionReport(
-        invariant_factors=_invariant_factors(m, n),
-        group_name=GROUP_NAMES[(m, n)],
+        invariant_factors=factors,
+        group_name=name,
         status=three.status,
         two=two,
         three=three,
         end_module=module,
     )
-
-
-def _invariant_factors(m: int, n: int) -> Tuple[int, ...]:
-    # (Z/2)^m x (Z/3)^n as invariant factors, largest first
-    factors = []
-    for i in range(max(m, n)):
-        f = (2 if i < m else 1) * (3 if i < n else 1)
-        factors.append(f)
-    return tuple(factors)
-
-
-def _end_module_label(ring: EndRing, m: int, n: int, c: Curve) -> Optional[str]:
-    if ring.kind not in _RM_MODULES:
-        return None
-    table = _RM_MODULES[ring.kind]
-    if (m, n) not in table:
-        raise InternalInconsistency(
-            f"torsion ({m}, {n}) impossible for End = {ring.kind} on {c}"
-        )
-    return table[(m, n)]
 
 
 def end_module_structure(c: Curve) -> Optional[str]:

@@ -73,6 +73,12 @@ CASES = [  # (argv, exit code)
     (["scan", "--out", OUT], 1),
     (["scan", "--box", "a=1..2", "b=1..2", "--family", "table2_Z6", "--out", OUT], 1),
     (["scan", "--family", "nope", "--param", "c=1", "--out", OUT], 1),
+    # ignored or meaningless arguments
+    (["oracle", "3", "4", "--primes", "5", "--count", "3"], 1),
+    (["oracle", "3", "4", "--primes", "5", "--count", "5"], 1),  # --count at the default
+    (["scan", "--box", "a=1..1", "b=1..2", "--param", "c=5", "--out", OUT], 1),
+    (["scan", "--box", "a=1..1", "b=1..2", "--jobs", "0", "--out", OUT], 1),
+    (["scan", "--box", "a=1..1", "b=1..2", "--jobs", "-3", "--out", OUT], 1),
 ]
 
 

@@ -227,8 +227,10 @@ def test_bad_primes():
 
 def test_prime_cap_env(monkeypatch):
     c = _c(-5, 4)
-    with pytest.raises(BadPrime):
-        prym_order(c, 503)  # above the default 499 cap
+    e = elliptic_quotients(c)[0]
+    for count in (lambda p: prym_order(c, p), lambda p: count_points_E(e, p)):
+        with pytest.raises(BadPrime, match=r"^p = 503 above enumeration cap 499$"):
+            count(503)  # above the default 499 cap
     monkeypatch.setenv("PRYMLAB_PRIME_CAP", "10")
     with pytest.raises(BadPrime):
         prym_order(c, 13)

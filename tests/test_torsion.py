@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from prymlab.curves import new_curve, sextic_twist
+from prymlab.endomorphisms import EndRing
 from prymlab.errors import InternalInconsistency
 from prymlab.torsion import (
     EXACT,
@@ -28,9 +29,35 @@ CLASSIFIED_GROUPS = {
     "Z/6 x Z/3",
 }
 
+# one curve (a, b) per classified shape (m, n) of (Z/2)^m x (Z/3)^n
+SHAPE_CURVES = {
+    (0, 0): (-4, 2),
+    (1, 0): (-2, 2),
+    (0, 1): (3, 4),
+    (1, 1): (-16, 576),  # table2_Z6 at c = 2
+    (2, 0): (-26, -343),  # table2_Z2xZ2 at w = -1, d = 1
+    (0, 2): (-5, 4),
+    (1, 2): (-720, 82944),  # table2_Z3xZ6 at c = 2
+}
+
+# over Z[sqrt(D)] the torsion is Z[sqrt(D)]/a_p: the admissible shapes and labels
+RM_MODULES = {
+    "Z_sqrt2": {(0, 0): "trivial", (1, 0): "mod_a2", (0, 2): "mod_a3"},
+    "Z_sqrt6": {(0, 0): "trivial", (1, 0): "mod_a2", (0, 1): "mod_a3"},
+}
+
 
 def _c(a, b):
     return new_curve(Fraction(a), Fraction(b))
+
+
+def _invariant_factors(m, n):
+    # reference: (Z/2)^m x (Z/3)^n as invariant factors, largest first
+    factors = []
+    for i in range(max(m, n)):
+        f = (2 if i < m else 1) * (3 if i < n else 1)
+        factors.append(f)
+    return tuple(factors)
 
 
 def test_two_torsion_e_part_only():
@@ -147,6 +174,29 @@ def test_torsion_group_frozen():
     assert rep.group_name == "Z/6 x Z/3"
     assert rep.invariant_factors == (6, 3)
     assert rep.status == EXACT
+
+
+def test_torsion_group_table_through_ring():
+    rings = [EndRing("Z"), EndRing("Z_sqrt2"), EndRing("Z_sqrt6"), EndRing("CM", -4)]
+    names, refused = set(), 0
+    for (m, n), (a, b) in SHAPE_CURVES.items():
+        c = _c(a, b)
+        factors = _invariant_factors(m, n)
+        for ring in rings:
+            if ring.kind in RM_MODULES and (m, n) not in RM_MODULES[ring.kind]:
+                message = rf"^torsion \({m}, {n}\) impossible for End = {ring.kind} on "
+                with pytest.raises(InternalInconsistency, match=message):
+                    torsion_group(c, ring=ring)
+                refused += 1
+                continue
+            rep = torsion_group(c, ring=ring)
+            assert (rep.two.rank, rep.three.r) == (m, n)
+            assert rep.invariant_factors == factors
+            assert rep.group_name == (" x ".join(f"Z/{f}" for f in factors) or "trivial")
+            assert rep.end_module == RM_MODULES.get(ring.kind, {}).get((m, n))
+            names.add(rep.group_name)
+    assert names == CLASSIFIED_GROUPS
+    assert refused == 2 * len(SHAPE_CURVES) - 6  # every RM pair off the table
 
 
 def test_torsion_group_shapes_only_classified_list():
