@@ -121,6 +121,34 @@ def test_extension_counts_pinned():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_COUNTS
 
 
+# sha256 of the [p, l_c, l_e, l_p, order] rows below, recorded before the
+# per-prime path moved to integers and per-prime tables
+_PINNED_PRYM_ORDERS = "5f34d064502eb2bcb48f6d0ccd0f0920d4ba71e84c22cb9997462509bd3b6dbd"
+
+
+def test_prym_order_pinned(sweeps):
+    # every good p <= 199 on 40 curves: a = 0 (d1 = 0 at every p = 7 mod 12, so
+    # the F_{p^2} fallback runs), rational a and b, CM j = 1, -1, -27, and
+    # seeded integer pairs
+    rng = random.Random(14)
+    curves = [(0, 7), (0, -12), (0, 25), (Fraction(1, 2), 3), (Fraction(-3, 4), Fraction(5, 9)),
+              (Fraction(2, 3), Fraction(-1, 8)), (4, 2), (28, 7)]
+    while len(curves) < 40:
+        a, b = rng.randint(-40, 40), rng.randint(-40, 40)
+        if b != 0 and a * a != 4 * b:
+            curves.append((a, b))
+    rows = []
+    for a, b in curves:
+        c = _c(a, b)
+        for p in good_primes(c, 46):
+            if p <= 199:
+                pc = prym_order(c, p)
+                rows.append([p, list(pc.l_c.coeffs), list(pc.l_e.coeffs), list(pc.l_p), pc.order])
+    assert len(rows) == 1700
+    assert (7, 2) in sweeps and (19, 2) in sweeps  # the d1 = 0 fallback ran
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_PRYM_ORDERS
+
+
 def test_oracle_runs_without_numpy():
     # import prymlab leaves numpy unloaded, and the oracle runs with numpy blocked
     src = str(Path(__file__).resolve().parents[1] / "src")
