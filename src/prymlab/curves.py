@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .errors import DegenerateCurve, NotACube
+from .errors import DegenerateCurve, InternalInconsistency, NotACube
 from .factorization import factor_integer, power_primes, valuation
 from .polynomials import IntPolynomial
 from .rationals import RationalLike, format_rational, is_nth_power, parse_rational
@@ -159,7 +159,8 @@ def integral_model(c: Curve) -> Curve:
         lam /= Fraction(p) ** e
     # smooth, since c is
     out = Curve(c.a, c.b) if lam == 1 else Curve(lam ** 6 * c.a, lam ** 12 * c.b)
-    assert out.a.denominator == 1 and out.b.denominator == 1
+    if out.a.denominator != 1 or out.b.denominator != 1:
+        raise InternalInconsistency(f"integral model {out} of {c} is not integral")
     object.__setattr__(out, "_is_model", True)
     return out
 
@@ -191,9 +192,10 @@ def _require_integral(c: Curve) -> None:
 
 def elliptic_quotients(c: Curve) -> Tuple[EllipticModel, EllipticModel]:
     """(E, Ehat) = (y^2 = x^3 + 16(a^2-4b), y^2 = x^3 + b)."""
+    (an, ad), (bn, bd) = c.a.as_integer_ratio(), c.b.as_integer_ratio()
     return (
-        EllipticModel(16 * (c.a * c.a - 4 * c.b), "E"),
-        EllipticModel(Fraction(c.b), "Ehat"),
+        EllipticModel(Fraction(16 * (an * an * bd - 4 * bn * ad * ad), ad * ad * bd), "E"),
+        EllipticModel(c.b, "Ehat"),
     )
 
 

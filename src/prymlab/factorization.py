@@ -1,9 +1,12 @@
 """Integer factorization and primality.
 
-Pipeline: trial division by the primes below 10^6 (an odd-only sieve, built
-on first use, never at import), then a perfect-power check (r^e is factored as
-r) and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
+Pipeline: trial division, then a perfect-power check (r^e is factored as r)
+and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
 primality check that is deterministic for n < 3.3 * 10^24 (fixed witnesses).
+Trial division uses the 25 primes below 100 when they finish the job (n < 97^2,
+or n < 97^k when `power_primes` looks for p^k | n), and otherwise the primes
+below 10^6: an odd-only sieve (~3 MB), built the first time a number needs it,
+never at import.  So a box curve or a small denominator never builds it.
 
 Only denominators are factored in full: `curves.integral_model` finds the
 numerator primes it needs with `power_primes`, trial division up to the 12th
@@ -17,12 +20,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Sequence
 
 from .rationals import integer_nth_root
 
 _SIEVE_LIMIT = 10 ** 6
 _small_primes: List[int] = []
+# Trial division stops at the first p with p^2 (power_primes: p^k) above what is
+# left, so for n < 97^k these primes finish it and the sieve is never built.
+_PRIMES_BELOW_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                     67, 71, 73, 79, 83, 89, 97)
 
 # Witnesses making Miller-Rabin deterministic for n < 3.317e24 (Sorenson-Webster).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,13 +47,20 @@ def _sieve() -> List[int]:
     return _small_primes
 
 
+def _trial_primes(n: int, k: int) -> Sequence[int]:
+    # the primes to trial-divide n by, looking for p^k | n
+    return _PRIMES_BELOW_100 if n < 97 ** k else _sieve()
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -101,7 +115,7 @@ def factor_integer(n: int) -> Dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: Dict[int, int] = {}
-    for p in _sieve():
+    for p in _trial_primes(n, 2):
         if p * p > n:
             break
         while n % p == 0:
@@ -136,7 +150,7 @@ def power_primes(n: int, k: int) -> List[int]:
     if n == 0:
         raise ValueError("power_primes of 0")
     n, out = abs(n), []
-    for p in _sieve():
+    for p in _trial_primes(n, k):
         if p ** k > n:
             return out
         e = valuation(n, p)

@@ -255,7 +255,8 @@ def _evaluate(formula: str, env: Mapping[str, Fraction]) -> Fraction:
 
 def _eval_node(node: ast.AST, env: Mapping[str, Fraction]) -> Fraction:
     if isinstance(node, ast.Constant):
-        assert isinstance(node.value, int), "only integer literals in formulas"
+        if not isinstance(node.value, int):
+            raise AssertionError(f"only integer literals in formulas: {ast.dump(node)}")
         return Fraction(node.value)
     if isinstance(node, ast.Name):
         return env[node.id]
@@ -265,7 +266,8 @@ def _eval_node(node: ast.AST, env: Mapping[str, Fraction]) -> Fraction:
         left = _eval_node(node.left, env)
         if isinstance(node.op, ast.Pow):
             exponent = node.right
-            assert isinstance(exponent, ast.Constant) and isinstance(exponent.value, int)
+            if not (isinstance(exponent, ast.Constant) and isinstance(exponent.value, int)):
+                raise AssertionError(f"unsupported formula exponent: {ast.dump(exponent)}")
             return left ** exponent.value
         right = _eval_node(node.right, env)
         if isinstance(node.op, ast.Add):

@@ -29,17 +29,25 @@ unity, so each Frobenius orbit of u is summed once.  N_2 costs O(p^2) and
 N_3 O(p^3) steps.  A naive double loop over (x, y) is kept as a second,
 independent counter for small p.
 
+Everything past the curve's reduction mod p is integer arithmetic.  The
+tables that depend on p alone (square-root counts, cube classes, the F_{p^2}
+lines, inverses and line classes) are built once per prime and process, kept
+as immutable bytes and tuples, and shared by every curve counted at p: a scan
+asks for the same few primes on every record.  Their caches hold the last 64
+primes, and every count checks p before it reads a table.
+
 Counting is capped: primes above PRYMLAB_PRIME_CAP (default 499) are
 refused with BadPrime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
@@ -101,7 +109,7 @@ def _reduce_fraction(q: Fraction, p: int) -> int:
 
 def _six_delta(m: Curve) -> int:
     # 6*Delta = 96*b*(a^2 - 4b) of an integral model, in ints
-    a, b = int(m.a), int(m.b)
+    a, b = m.a.numerator, m.b.numerator
     return 96 * b * (a * a - 4 * b)
 
 
@@ -142,38 +150,23 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     q = p ** k
     if q % 3 == 2:
         return q + 1  # cubing is a bijection: one y per x, plus infinity
-    a, b = int(m.a) % p, int(m.b) % p
+    a, b = m.a.numerator % p, m.b.numerator % p
+    if k == 2:
+        return _count_quadratic(p, a, b) + 1
     roots = _square_root_counts(p)
-    if p % 3 == 2:  # so k = 2
-        return _count_quadratic(p, a, b, roots, None) + 1
-    r, cls = _cube_classes(p)
-    n3 = bytes((3, 0, 0, 1)[i] for i in cls)  # v in F_q has n3[N(v)] cube roots
+    r, _, n3, _ = _cube_classes(p)  # v in F_q has n3[N(v)] cube roots
     if k == 1:
         return sum(roots[u] * n3[(u * (u + a) + b) % p] for u in range(p)) + 1
-    if k == 2:
-        return _count_quadratic(p, a, b, roots, n3) + 1
     return _count_cubic(p, a, b, roots, r, n3) + 1
 
 
-def _count_quadratic(p: int, a: int, b: int, roots: bytearray, n3: Optional[bytes]) -> int:
-    """Affine count over F_{p^2} = F_p(z), z^2 = r; n3 is None at p = 2 mod 3."""
-    r = 2
-    while roots[r]:
-        r += 1
-    split = n3 is not None
-    if not split:
-        # F_p^* lies in the cubes; line[s] = 3 when s + z is a cube, from (s + z)^3
-        n3 = bytes([1]) + bytes([3]) * (p - 1)
-        inv = [0] + [pow(x, -1, p) for x in range(1, p)]
-        line = bytearray(p)
-        for s in range(p):
-            w1 = (3 * s * s + r) % p
-            if w1:
-                line[(s * s + 3 * r) * s * inv[w1] % p] = 3
-    # u = u0 in F_p has N(u) = u0^2; off F_p, u = u1 (t + z) and its conjugate
-    # (u1 -> -u1) each weigh 1 + psi(t + z): 2 for t in lines, else 0
-    total = sum(roots[u * u % p] * n3[(u * (u + a) + b) ** 2 % p] for u in range(p))
-    lines = [t for t in range(p) if roots[(t * t - r) % p]]
+def _count_quadratic(p: int, a: int, b: int) -> int:
+    """Affine count over F_{p^2} = F_p(z), z^2 = r."""
+    r, lines, n3, inv, line = _quadratic_tables(p)
+    # u = u0 in F_p has N(u) = u0^2, a nonzero square but at u0 = 0; off F_p,
+    # u = u1 (t + z) and its conjugate (u1 -> -u1) each weigh 1 + psi(t + z):
+    # 2 for t in lines, else 0
+    total = n3[b * b % p] + 2 * sum(n3[(u * (u + a) + b) ** 2 % p] for u in range(1, p))
     half = 0
     for u1 in range(1, (p + 1) // 2):
         c = r * u1 * u1 + b
@@ -181,7 +174,7 @@ def _count_quadratic(p: int, a: int, b: int, roots: bytearray, n3: Optional[byte
             u0 = t * u1
             v0 = (u0 * (u0 + a) + c) % p
             v1 = u1 * (2 * u0 + a) % p
-            if split:
+            if inv is None:
                 half += n3[(v0 * v0 - r * v1 * v1) % p]
             elif v1:
                 half += line[v0 * inv[v1] % p]
@@ -190,7 +183,7 @@ def _count_quadratic(p: int, a: int, b: int, roots: bytearray, n3: Optional[byte
     return total + 4 * half
 
 
-def _count_cubic(p: int, a: int, b: int, roots: bytearray, r: int, n3: bytes) -> int:
+def _count_cubic(p: int, a: int, b: int, roots: bytes, r: int, n3: bytes) -> int:
     """Affine count over F_{p^3} = F_p(z), z^3 = r (p = 1 mod 3)."""
     w = pow(r, (p - 1) // 3, p)  # Frobenius: z -> w z, so (u1, u2) -> (w u1, w^2 u2)
     reps = [x for x in range(1, p) if x < x * w % p and x < x * w * w % p]
@@ -217,7 +210,7 @@ def count_points_C_naive(c: Curve, p: int) -> int:
     """Independent brute-force count of #C(F_p): a plain double loop over (x, y)."""
     m = integral_model(c)
     _require_good(m, p)
-    a, b = int(m.a) % p, int(m.b) % p
+    a, b = m.a.numerator % p, m.b.numerator % p
     total = 1  # infinity
     for x in range(p):
         x2 = x * x % p
@@ -232,32 +225,46 @@ def count_points_E(e: EllipticModel, p: int) -> int:
     """#E(F_p) for y^2 = x^3 + c, including infinity, by quadratic characters."""
     if p < 5 or not is_prime(p):
         raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
-    c = _reduce_fraction(Fraction(e.c), p)
+    c = _reduce_fraction(e.c, p)
     if c == 0:
         raise BadPrime(f"p = {p} divides 6c in y^2 = x^3 + c")
     _check_cap(p, _prime_cap())
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
     roots = _square_root_counts(p)
-    count = 1  # infinity
-    for x in range(p):
-        count += roots[(x * x % p * x + c) % p]
-    return count
+    # x^3 is 0 once and each nonzero cube three times
+    return 1 + roots[c] + 3 * sum(roots[(t + c) % p] for t in _cube_classes(p).cubes)
 
 
-def _square_root_counts(p: int) -> bytearray:
+# Tables that depend on p alone, built once per prime and shared by every count
+# at p.  Each holds O(p) entries and p is at most the prime cap; the caches keep
+# the most recent _TABLE_PRIMES primes.
+_TABLE_PRIMES = 64
+
+
+@functools.lru_cache(maxsize=_TABLE_PRIMES)
+def _square_root_counts(p: int) -> bytes:
     """Entry v is the number of y in F_p with y^2 = v: 1 at 0, 2 at a nonzero square."""
     roots = bytearray(p)
     roots[0] = 1
     for y in range(1, (p + 1) // 2):
         roots[y * y % p] = 2
-    return roots
+    return bytes(roots)
 
 
-def _cube_classes(p: int) -> Tuple[int, bytearray]:
-    """The least non-cube r mod p (p = 1 mod 3), and cls[v] = i for v in r^i (F_p^*)^3.
+_N3_BY_CLASS = bytes([3, 0, 0, 1]) + bytes(252)  # cube-root counts by class, for bytes.translate
 
-    cls[0] = 3 marks v = 0, which the cubic character skips."""
+
+class _CubeTables(NamedTuple):
+    r: int  # the least non-cube mod p
+    cls: bytes  # cls[v] = i for v in r^i (F_p^*)^3; cls[0] = 3 marks v = 0
+    n3: bytes  # n3[v] = the number of cube roots of v in F_p
+    cubes: Tuple[int, ...]  # the nonzero cubes
+
+
+@functools.lru_cache(maxsize=_TABLE_PRIMES)
+def _cube_classes(p: int) -> _CubeTables:
+    """Cube classes of F_p for p = 1 mod 3; the cubic character skips cls 3."""
     r = 2
     while pow(r, (p - 1) // 3, p) == 1:
         r += 1
@@ -267,38 +274,68 @@ def _cube_classes(p: int) -> Tuple[int, bytearray]:
         t = z * z * z % p
         cls[t] = 0
         cls[t * r % p] = 1
-    return r, cls
+    cls = bytes(cls)
+    return _CubeTables(r, cls, cls.translate(_N3_BY_CLASS),
+                       tuple(v for v in range(1, p) if cls[v] == 0))
 
 
-def _from_power_sums(s: Sequence[int], p: int, genus: int) -> LPolynomial:
-    """L-polynomial from the power sums s_1..s_g of its reciprocal roots.
+@functools.lru_cache(maxsize=_TABLE_PRIMES)
+def _quadratic_tables(p: int) -> Tuple[int, Tuple[int, ...], bytes, Optional[Tuple[int, ...]],
+                                        Optional[bytes]]:
+    """(r, lines, n3, inv, line) for F_{p^2} = F_p(z), z^2 = r, r the least non-square.
+
+    lines holds the t with psi(t + z) = 1, i.e. t^2 - r a nonzero square.  At
+    p = 1 mod 3, n3 is indexed by the norm, and inv and line are None.  At
+    p = 2 mod 3, F_p^* lies in the cubes (n3 is 3 but at 0), inv[x] = 1/x, and
+    line[s] = 3 when s + z is a cube, read off (s + z)^3.
+    """
+    roots = _square_root_counts(p)
+    r = 2
+    while roots[r]:
+        r += 1
+    lines = tuple(t for t in range(p) if roots[(t * t - r) % p])
+    if p % 3 == 1:
+        return r, lines, _cube_classes(p).n3, None, None
+    inv = (0,) + tuple(pow(x, -1, p) for x in range(1, p))
+    line = bytearray(p)
+    for s in range(p):
+        w1 = (3 * s * s + r) % p
+        if w1:
+            line[(s * s + 3 * r) * s * inv[w1] % p] = 3
+    return r, lines, bytes([1]) + bytes([3]) * (p - 1), inv, bytes(line)
+
+
+def _from_power_sums(s: Sequence[int], p: int, genus: int) -> Tuple[int, ...]:
+    """The coefficients of the L-polynomial whose reciprocal roots have power sums s_1..s_g.
 
     Newton: k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i and c_i = (-1)^i e_i; the
     functional equation c_{2g-i} = p^(g-i) c_i fills the top half.  Raises
     WeilBoundViolation on a non-integral e_k, |c_1| > 2g sqrt(p) or L(+-1) <= 0.
     """
-    e = [1]
+    low = [1]  # c_0..c_g; with c_i = (-1)^i e_i Newton reads -k c_k = sum c_{k-i} s_i
     for k in range(1, genus + 1):
-        k_ek = sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1))
-        if k_ek % k != 0:
+        k_ck = 0
+        for i in range(1, k + 1):
+            k_ck -= low[k - i] * s[i - 1]
+        if k_ck % k != 0:
             raise WeilBoundViolation(f"non-integral e{k} from power sums {list(s)} at p={p}")
-        e.append(k_ek // k)
-    low = [(-1) ** i * e[i] for i in range(genus + 1)]
+        low.append(k_ck // k)
     coeffs = tuple(low + [p ** (genus - i) * low[i] for i in range(genus - 1, -1, -1)])
-    lpoly = LPolynomial(p=p, genus=genus, coeffs=coeffs)
     c1 = coeffs[1]
     if c1 * c1 > 4 * genus * genus * p:
         raise WeilBoundViolation(f"|c1| = {abs(c1)} exceeds 2g*sqrt(p) at p={p}")
-    if lpoly(1) <= 0 or lpoly(-1) <= 0:
+    even, odd = sum(coeffs[0::2]), sum(coeffs[1::2])
+    if even + odd <= 0 or even - odd <= 0:  # L(1) and L(-1)
         raise WeilBoundViolation(f"L(+-1) not positive at p={p}: {coeffs}")
-    return lpoly
+    return coeffs
 
 
 def l_polynomial(counts: Sequence[int], p: int, genus: int) -> LPolynomial:
     """L-polynomial from N_1..N_g; WeilBoundViolation if no zeta function fits."""
     if len(counts) != genus:
         raise ValueError(f"need N_1..N_{genus}, got {len(counts)} counts")
-    return _from_power_sums([p ** k + 1 - n for k, n in enumerate(counts, 1)], p, genus)
+    coeffs = _from_power_sums([p ** k + 1 - n for k, n in enumerate(counts, 1)], p, genus)
+    return LPolynomial(p=p, genus=genus, coeffs=coeffs)
 
 
 def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int]]:
@@ -316,7 +353,7 @@ def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int
     #E(F_p) = p + 1 + Tr(S_E), checked against n_e.  (Ireland-Rosen, ch. 8
     and 10, count y^m = f(x) by such character sums.)
     """
-    cls = _cube_classes(p)[1]
+    cls = _cube_classes(p).cls
     roots = _square_root_counts(p)
     n_c = [0, 0, 0, 0]
     n_e_cls = [0, 0, 0, 0]
@@ -352,18 +389,19 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     m = integral_model(c)
     _require_good(m, p)
     n_e = count_points_E(elliptic_quotients(m)[0], p)
-    l_e = l_polynomial([n_e], p, 1)
-    s = _character_power_sums(p, int(m.a) % p, int(m.b) % p, n_e) if p % 3 == 1 else None
+    l_e = LPolynomial(p, 1, _from_power_sums([p + 1 - n_e], p, 1))
+    s = _character_power_sums(p, m.a.numerator % p, m.b.numerator % p, n_e) if p % 3 == 1 else None
     if s is None:
         s_e = -l_e.coeffs[1]
         # s_2(E) = s_E^2 - 2p: the two roots of L_E multiply to p
         s = [p + 1 - count_points_C(m, p, 1) - s_e,
              p * p + 1 - count_points_C(m, p, 2) - (s_e * s_e - 2 * p)]
-    l_p = _from_power_sums(s, p, 2).coeffs
-    l_c = [0] * 7
-    for i, u in enumerate(l_e.coeffs):
-        for j, v in enumerate(l_p):
-            l_c[i + j] += u * v
+    l_p = _from_power_sums(s, p, 2)
+    _, e1, _ = l_e.coeffs
+    _, c1, c2, c3, c4 = l_p
+    # L_C = (1 + e1 T + p T^2)(1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4)
+    l_c = (1, c1 + e1, c2 + e1 * c1 + p, c3 + e1 * c2 + p * c1, c4 + e1 * c3 + p * c2,
+           e1 * c4 + p * c3, p * c4)
     order = sum(l_p)
     # Weil interval (sqrt(p)-1)^4 <= order <= (sqrt(p)+1)^4, in exact integers:
     # the bounds are M -+ K sqrt(p) with M = p^2 + 6p + 1, K = 4(p + 1).
@@ -371,7 +409,7 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     spread = 4 * (p + 1)
     if order <= 0 or (order - mid) ** 2 > spread * spread * p:
         raise WeilBoundViolation(f"Prym order {order} outside Weil range at p={p}")
-    return PrymCount(p=p, l_c=LPolynomial(p, 3, tuple(l_c)), l_e=l_e, l_p=l_p, order=order)
+    return PrymCount(p=p, l_c=LPolynomial(p, 3, l_c), l_e=l_e, l_p=l_p, order=order)
 
 
 def torsion_multiplicative_bound(c: Curve, primes: Sequence[int]) -> int:

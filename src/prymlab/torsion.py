@@ -109,7 +109,6 @@ def two_torsion(c: Curve) -> TwoTorsionReport:
             lift = True
             witness = min(roots)  # deterministic pick
     rank = int(e_part) + int(lift)
-    assert not (lift and t is None)
     return TwoTorsionReport(
         e_part=e_part, ehat_point=t, lift=lift, rank=rank, witness_root=witness
     )

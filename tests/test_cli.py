@@ -1,5 +1,6 @@
 """Command-line interface: verbs, schemas, exit codes, scan determinism."""
 
+import ast
 import hashlib
 import json
 import multiprocessing
@@ -462,3 +463,14 @@ def test_package_holds_no_test_only_module():
     assert "cli" in listed and moved not in listed
     assert unloaded == "[]"
     assert missing == f"prymlab.{moved}"
+
+
+def test_package_holds_no_assert():
+    # every check is a raise, so python -O keeps them all
+    package = Path(__file__).resolve().parents[1] / "src" / "prymlab"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

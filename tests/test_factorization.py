@@ -143,6 +143,44 @@ def test_import_builds_no_sieve():
     assert proc.stdout == "0\n"
 
 
+def test_small_path_matches_sieve_path(monkeypatch):
+    # below 97^2 (97^k for power_primes) trial division by the primes below 100
+    # is complete: the same factorizations as trial division by the full sieve,
+    # and is_prime's shortcut below 41^2 agrees with the sieve
+    numbers = range(1, 10 ** 4)
+    small = [(factor_integer(n), [power_primes(n, k) for k in (2, 3, 12)]) for n in numbers]
+    monkeypatch.setattr(factorization, "_trial_primes", lambda n, k: factorization._sieve())
+    assert small == [(factor_integer(n), [power_primes(n, k) for k in (2, 3, 12)])
+                     for n in numbers]
+    primes = set(factorization._sieve()[:1229])
+    assert max(primes) == 9973
+    assert [n for n in numbers if is_prime(n)] == sorted(primes)
+
+
+def test_box_records_build_no_sieve():
+    # no box curve needs a prime above 97: n = gcd(a^2, b) <= |b| <= 30, and the
+    # denominators 2 and 4 below are small too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from fractions import Fraction\n"
+        "import prymlab\n"
+        "from prymlab import DegenerateCurve, classify_record, new_curve\n"
+        "for a in range(-30, 31):\n"
+        "    for b in range(1, 31):\n"
+        "        try:\n"
+        "            classify_record(new_curve(a, b), with_oracle=a % 10 == 0)\n"
+        "        except DegenerateCurve:\n"
+        "            pass\n"
+        "classify_record(new_curve(Fraction(1, 2), Fraction(3, 4)), with_oracle=True)\n"
+        "print(len(prymlab.factorization._small_primes))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_gcd_sanity():
     assert math.gcd(18, 63) == 9
 

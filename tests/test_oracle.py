@@ -271,6 +271,38 @@ def test_prime_cap_env(monkeypatch):
         good_primes(c, 10 ** 6)
 
 
+def test_per_prime_tables_built_once_and_bounded(monkeypatch):
+    # the tables depend on p alone: immutable, shared by every curve at p, and
+    # kept for a bounded number of primes
+    monkeypatch.delenv("PRYMLAB_PRIME_CAP", raising=False)
+    for a, b in ((3, 4), (-5, 4)):
+        for p in (13, 17, 61):
+            prym_order(_c(a, b), p)
+    roots, cubes = oracle._square_root_counts(13), oracle._cube_classes(13)
+    for p in (13, 17):
+        r, lines, n3, inv, line = oracle._quadratic_tables(p)
+        assert type(n3) is bytes and type(lines) is tuple
+        if p % 3 == 1:
+            assert inv is None and line is None
+        else:
+            assert type(inv) is tuple and type(line) is bytes
+    assert (type(roots), type(cubes.cls), type(cubes.n3), type(cubes.cubes)) == (bytes, bytes, bytes, tuple)
+    assert oracle._square_root_counts(13) is roots and oracle._cube_classes(13) is cubes
+    for table in (oracle._square_root_counts, oracle._cube_classes, oracle._quadratic_tables):
+        info = table.cache_info()
+        assert info.hits > 0 and info.maxsize is not None and 0 < info.maxsize <= 64
+    # warm tables lift no cap: 61 is refused at every public entry, also with its
+    # own tables built
+    c = _c(-5, 4)
+    e = elliptic_quotients(c)[0]
+    monkeypatch.setenv("PRYMLAB_PRIME_CAP", "60")
+    assert [prym_order(c, p).p for p in good_primes(c, 15)][-1] == 59
+    for count in (lambda: prym_order(c, 61), lambda: count_points_E(e, 61),
+                  lambda: count_points_C(c, 61, 1), lambda: count_points_C(c, 61, 2)):
+        with pytest.raises(BadPrime, match=r"^p = 61 above enumeration cap 60$"):
+            count()
+
+
 def test_good_primes():
     c = _c(-5, 4)
     ps = good_primes(c, 4)
