@@ -390,14 +390,13 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     _require_good(m, p)
     n_e = count_points_E(elliptic_quotients(m)[0], p)
     l_e = LPolynomial(p, 1, _from_power_sums([p + 1 - n_e], p, 1))
+    e1 = l_e.coeffs[1]  # -s_1(E)
     s = _character_power_sums(p, m.a.numerator % p, m.b.numerator % p, n_e) if p % 3 == 1 else None
     if s is None:
-        s_e = -l_e.coeffs[1]
-        # s_2(E) = s_E^2 - 2p: the two roots of L_E multiply to p
-        s = [p + 1 - count_points_C(m, p, 1) - s_e,
-             p * p + 1 - count_points_C(m, p, 2) - (s_e * s_e - 2 * p)]
+        # s_2(E) = s_1(E)^2 - 2p: the two roots of L_E multiply to p
+        s = [p + 1 - count_points_C(m, p, 1) + e1,
+             p * p + 1 - count_points_C(m, p, 2) - (e1 * e1 - 2 * p)]
     l_p = _from_power_sums(s, p, 2)
-    _, e1, _ = l_e.coeffs
     _, c1, c2, c3, c4 = l_p
     # L_C = (1 + e1 T + p T^2)(1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4)
     l_c = (1, c1 + e1, c2 + e1 * c1 + p, c3 + e1 * c2 + p * c1, c4 + e1 * c3 + p * c2,

@@ -286,7 +286,8 @@ def test_per_prime_tables_built_once_and_bounded(monkeypatch):
             assert inv is None and line is None
         else:
             assert type(inv) is tuple and type(line) is bytes
-    assert (type(roots), type(cubes.cls), type(cubes.n3), type(cubes.cubes)) == (bytes, bytes, bytes, tuple)
+    assert [type(t) for t in (roots, cubes.cls, cubes.n3)] == [bytes] * 3
+    assert type(cubes.cubes) is tuple
     assert oracle._square_root_counts(13) is roots and oracle._cube_classes(13) is cubes
     for table in (oracle._square_root_counts, oracle._cube_classes, oracle._quadratic_tables):
         info = table.cache_info()
