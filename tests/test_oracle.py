@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from prymlab import oracle, records
-from prymlab.curves import elliptic_quotients, new_curve, sextic_twist
+from prymlab.curves import EllipticModel, elliptic_quotients, new_curve, sextic_twist
 from prymlab.errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from prymlab.oracle import (
     count_points_C,
@@ -420,6 +420,67 @@ def test_prime_list_refuses_a_repeat_in_list_order():
             check(c, [5, 11, 13, 11, 7])
         with pytest.raises(BadPrime, match=r"^p = 7 divides 6\*Delta$"):
             check(c, [5, 7, 5])
+
+
+# Every refusal of every public oracle entry, with its exact text.  C(3, 4) has
+# 6*Delta = -2688 = -2^7 * 3 * 7 and E: y^2 = x^3 - 112, -112 = -2^4 * 7;
+# C(0, 67) has 67 | 6*Delta.  An entry that takes one prime gets p, one that
+# takes a list gets [5, p].
+_ONE_PRIME = {
+    "prym_order": prym_order,
+    "count_points_C_k1": lambda c, p: count_points_C(c, p, 1),
+    "count_points_C_k2": lambda c, p: count_points_C(c, p, 2),
+    "count_points_C_naive": count_points_C_naive,
+    "count_points_E": lambda c, p: count_points_E(elliptic_quotients(c)[0], p),
+}
+_PRIME_LIST = {
+    "require_good_primes": oracle.require_good_primes,
+    "oracle_summary": records.oracle_summary,
+    "torsion_multiplicative_bound": torsion_multiplicative_bound,
+}
+_REFUSALS = [  # (case, (a, b), p, PRYMLAB_PRIME_CAP or None, text)
+    ("p_below_5", (3, 4), 3, None, "p = 3 is not a usable prime (need a prime >= 5)"),
+    ("composite", (3, 4), 25, None, "p = 25 is not a usable prime (need a prime >= 5)"),
+    ("p_divides_6Delta", (3, 4), 7, None, "p = 7 divides 6*Delta"),
+    ("above_cap", (3, 4), 61, "60", "p = 61 above enumeration cap 60"),
+    ("p_divides_6Delta_above_cap", (0, 67), 67, "60", "p = 67 divides 6*Delta"),
+]
+# count_points_E sees only E, so it has rows of its own for a bad p
+_E_ROWS = [  # (case, c, p, cap, text)
+    ("p_divides_c", Fraction(-112), 7, None, "p = 7 divides 6c in y^2 = x^3 + c"),
+    ("p_divides_den_c_above_cap", Fraction(1, 67), 67, "60", "p = 67 divides a denominator"),
+]
+
+
+def _refusal_rows():
+    for case, ab, p, cap, text in _REFUSALS:
+        for name, entry in _ONE_PRIME.items():
+            if not (name == "count_points_E" and "Delta" in text):
+                yield pytest.param(entry, ab, p, cap, text, id=f"{name}-{case}")
+        for name, entry in _PRIME_LIST.items():
+            yield pytest.param(lambda c, p, entry=entry: entry(c, [5, p]), ab, p, cap, text,
+                               id=f"{name}-{case}")
+    for name, entry in _PRIME_LIST.items():
+        yield pytest.param(lambda c, p, entry=entry: entry(c, [5, 11, 13, 11, p]), (3, 4), 5,
+                           None, "p = 11 given twice", id=f"{name}-repeat")
+    yield pytest.param(lambda c, p: good_primes(c, 20), (3, 4), None, "60",
+                       "p = 61 above enumeration cap 60", id="good_primes-above_cap")
+    yield pytest.param(lambda c, p: torsion_multiplicative_bound(c, []), (3, 4), None, None,
+                       "need at least one good prime", id="torsion_multiplicative_bound-empty")
+    for case, e_c, p, cap, text in _E_ROWS:
+        yield pytest.param(lambda c, p, e_c=e_c: count_points_E(EllipticModel(e_c, "E"), p),
+                           (3, 4), p, cap, text, id=f"count_points_E-{case}")
+
+
+@pytest.mark.parametrize("entry, ab, p, cap, text", list(_refusal_rows()))
+def test_every_refusal_text(monkeypatch, entry, ab, p, cap, text):
+    if cap is None:
+        monkeypatch.delenv("PRYMLAB_PRIME_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PRYMLAB_PRIME_CAP", cap)
+    with pytest.raises(BadPrime) as info:
+        entry(_c(*ab), p)
+    assert str(info.value) == text
 
 
 def test_prym_order_divisibility_by_structural_torsion():
