@@ -36,8 +36,13 @@ as immutable bytes and tuples, and shared by every curve counted at p: a scan
 asks for the same few primes on every record.  Their caches hold the last 64
 primes, and every count checks p before it reads a table.
 
-Counting is capped: primes above PRYMLAB_PRIME_CAP (default 499) are
-refused with BadPrime.
+Where primes are checked: `_require_good` states the rule once, and refuses
+with BadPrime a p that is not a prime >= 5, then one dividing 6*Delta (for
+`count_points_E`, 6 num(c) den(c)), then one above PRYMLAB_PRIME_CAP (default
+499, read at each call).  Every public entry that takes a p checks it so.  A
+prime list is read only by `require_good_primes`: it makes one tuple of any
+iterable, reads 6*Delta and the cap once, refuses a repeat or a bad prime in
+list order before any count, and returns the tuple its callers iterate.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
@@ -66,12 +70,6 @@ class LPolynomial:
     p: int
     genus: int
     coeffs: Tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -96,15 +94,9 @@ def good_primes(c: Curve, count: int) -> List[int]:
     while len(out) < count:
         p = next(primes)
         if bad % p != 0:
-            _check_cap(p, cap)
+            _require_good(p, bad, cap, "6*Delta")
             out.append(p)
     return out
-
-
-def _reduce_fraction(q: Fraction, p: int) -> int:
-    if q.denominator % p == 0:
-        raise BadPrime(f"p = {p} divides a denominator")
-    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 def _six_delta(m: Curve) -> int:
@@ -113,29 +105,30 @@ def _six_delta(m: Curve) -> int:
     return 96 * b * (a * a - 4 * b)
 
 
-def _require_good(m: Curve, p: int) -> None:
+def _require_good(p: int, bad: int, cap: int, what: str) -> None:
+    """The good-prime rule: BadPrime unless p is a prime >= 5, does not divide
+    bad (named by what) and is at most cap."""
     if p < 5 or not is_prime(p):
         raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
-    if _six_delta(m) % p == 0:
-        raise BadPrime(f"p = {p} divides 6*Delta")
-    _check_cap(p, _prime_cap())
-
-
-def _check_cap(p: int, cap: int) -> None:
+    if bad % p == 0:
+        raise BadPrime(f"p = {p} divides {what}")
     if p > cap:
         raise BadPrime(f"p = {p} above enumeration cap {cap}")
 
 
-def require_good_primes(c: Curve, primes: Sequence[int]) -> None:
-    """BadPrime for the first prime in `primes` the oracle cannot use on c or
-    that repeats an earlier one."""
-    m = integral_model(c)
+def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
+    """The primes as a tuple, read once from any iterable; BadPrime for the first
+    one, in list order, that repeats an earlier one or is no good prime of c."""
+    primes = tuple(primes)
+    bad = _six_delta(integral_model(c))
+    cap = _prime_cap()
     seen = set()
     for p in primes:
         if p in seen:
             raise BadPrime(f"p = {p} given twice")
-        _require_good(m, p)
+        _require_good(p, bad, cap, "6*Delta")
         seen.add(p)
+    return primes
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
@@ -146,7 +139,7 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     if k not in (1, 2, 3):
         raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
     m = integral_model(c)
-    _require_good(m, p)
+    _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
     q = p ** k
     if q % 3 == 2:
         return q + 1  # cubing is a bijection: one y per x, plus infinity
@@ -209,7 +202,7 @@ def _count_cubic(p: int, a: int, b: int, roots: bytes, r: int, n3: bytes) -> int
 def count_points_C_naive(c: Curve, p: int) -> int:
     """Independent brute-force count of #C(F_p): a plain double loop over (x, y)."""
     m = integral_model(c)
-    _require_good(m, p)
+    _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
     a, b = m.a.numerator % p, m.b.numerator % p
     total = 1  # infinity
     for x in range(p):
@@ -223,12 +216,9 @@ def count_points_C_naive(c: Curve, p: int) -> int:
 
 def count_points_E(e: EllipticModel, p: int) -> int:
     """#E(F_p) for y^2 = x^3 + c, including infinity, by quadratic characters."""
-    if p < 5 or not is_prime(p):
-        raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
-    c = _reduce_fraction(e.c, p)
-    if c == 0:
-        raise BadPrime(f"p = {p} divides 6c in y^2 = x^3 + c")
-    _check_cap(p, _prime_cap())
+    num, den = e.c.numerator, e.c.denominator
+    _require_good(p, 6 * num * den, _prime_cap(), "6 num(c) den(c) in y^2 = x^3 + c")
+    c = num * pow(den, -1, p) % p
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
     roots = _square_root_counts(p)
@@ -387,7 +377,7 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     N_2 = count_points_C(m, p, 2).
     """
     m = integral_model(c)
-    _require_good(m, p)
+    _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
     n_e = count_points_E(elliptic_quotients(m)[0], p)
     l_e = LPolynomial(p, 1, _from_power_sums([p + 1 - n_e], p, 1))
     e1 = l_e.coeffs[1]  # -s_1(E)
@@ -411,10 +401,10 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     return PrymCount(p=p, l_c=LPolynomial(p, 3, l_c), l_e=l_e, l_p=l_p, order=order)
 
 
-def torsion_multiplicative_bound(c: Curve, primes: Sequence[int]) -> int:
+def torsion_multiplicative_bound(c: Curve, primes: Iterable[int]) -> int:
     """gcd of #P(F_p) over the given good primes; |P(Q)_tors| divides it."""
-    if not primes:
-        raise BadPrime("need at least one good prime")
     m = integral_model(c)
-    require_good_primes(m, primes)
-    return math.gcd(*(prym_order(m, p).order for p in primes))
+    checked = require_good_primes(m, primes)
+    if not checked:
+        raise BadPrime("need at least one good prime")
+    return math.gcd(*(prym_order(m, p).order for p in checked))

@@ -14,7 +14,7 @@ computation, upgrading a three-part lower bound to exact whenever the bound's
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from .curves import (
     Curve,
@@ -66,14 +66,13 @@ def endo_profile(c: Curve) -> Dict:
     }
 
 
-def oracle_summary(c: Curve, primes: Sequence[int]) -> Dict:
+def oracle_summary(c: Curve, primes: Iterable[int]) -> Dict:
     """Per-prime L-data and the gcd bound, as a JSON-ready dict; every prime is
     checked before the first count."""
     m = integral_model(c)
-    require_good_primes(m, primes)
     per_prime: List[Dict] = []
     bound = 0
-    for p in primes:
+    for p in require_good_primes(m, primes):
         pc = prym_order(m, p)
         per_prime.append(
             {
@@ -90,7 +89,7 @@ def oracle_summary(c: Curve, primes: Sequence[int]) -> Dict:
 def classify_record(
     c: Curve,
     with_oracle: bool = False,
-    primes: Optional[Sequence[int]] = None,
+    primes: Optional[Iterable[int]] = None,
 ) -> Dict:
     """Full record for one curve; oracle data included on request.
 
@@ -104,8 +103,8 @@ def classify_record(
     summary = None
     bound = None
     if with_oracle or primes is not None:
-        chosen = list(primes) if primes is not None else good_primes(m, DEFAULT_ORACLE_PRIMES)
-        summary = oracle_summary(m, chosen)
+        summary = oracle_summary(m, good_primes(m, DEFAULT_ORACLE_PRIMES)
+                                 if primes is None else primes)
         bound = summary["gcd"]
     endo = endo_profile(c)
     ring = EndRing(endo["end_ring"], endo["cm_discriminant"])

@@ -1,0 +1,60 @@
+"""Lint of the package source by its syntax tree: no unused import, no dead
+private function or class."""
+
+import ast
+from pathlib import Path
+
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prymlab"
+
+
+def _modules():
+    sources = sorted(_PACKAGE.glob("*.py"))
+    assert len(sources) >= 10
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
+def _references(node):
+    """The names a subtree reads: bare names and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export; every other module imports to use
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = set(_references(tree))
+        unused += [f"{name}.py:{line} {imported_name}"
+                   for imported_name, line in imported.items() if imported_name not in used]
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    # a private module-level def counts as used only when something other than
+    # its own body names it, anywhere in the package
+    modules = _modules()
+    private = []
+    referenced = set()
+    for name, tree in modules.items():
+        for node in tree.body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and node.name.startswith("_") and not node.name.startswith("__"):
+                private.append((name, node.name))
+                referenced.update(ref for ref in _references(node) if ref != node.name)
+            else:
+                referenced.update(_references(node))
+    assert len(private) >= 20
+    assert [f"{module}.{fn}" for module, fn in private if fn not in referenced] == []

@@ -447,8 +447,9 @@ _REFUSALS = [  # (case, (a, b), p, PRYMLAB_PRIME_CAP or None, text)
 ]
 # count_points_E sees only E, so it has rows of its own for a bad p
 _E_ROWS = [  # (case, c, p, cap, text)
-    ("p_divides_c", Fraction(-112), 7, None, "p = 7 divides 6c in y^2 = x^3 + c"),
-    ("p_divides_den_c_above_cap", Fraction(1, 67), 67, "60", "p = 67 divides a denominator"),
+    ("p_divides_c", Fraction(-112), 7, None, "p = 7 divides 6 num(c) den(c) in y^2 = x^3 + c"),
+    ("p_divides_den_c_above_cap", Fraction(1, 67), 67, "60",
+     "p = 67 divides 6 num(c) den(c) in y^2 = x^3 + c"),
 ]
 
 
@@ -481,6 +482,28 @@ def test_every_refusal_text(monkeypatch, entry, ab, p, cap, text):
     with pytest.raises(BadPrime) as info:
         entry(_c(*ab), p)
     assert str(info.value) == text
+
+
+def test_prime_lists_read_once_from_any_iterable():
+    # a generator, an iterator or a map gives what the list gives: each list
+    # is read once, into the tuple that is checked and then counted
+    c = _c(3, 4)
+    one_shot = [lambda: (p for p in [5, 11]), lambda: iter([5, 11]),
+                lambda: map(int, "5,11".split(","))]
+
+    def results(primes):
+        return (records.oracle_summary(c, primes()), torsion_multiplicative_bound(c, primes()),
+                oracle.require_good_primes(c, primes()),
+                records.classify_record(c, primes=primes()))
+
+    want = results(lambda: [5, 11])
+    assert want[1] == 6 and want[2] == (5, 11)
+    assert [row["p"] for row in want[0]["per_prime"]] == [5, 11]
+    for primes in one_shot:
+        assert results(primes) == want
+    with pytest.raises(BadPrime, match=r"^need at least one good prime$"):
+        torsion_multiplicative_bound(c, iter([]))
+    assert records.oracle_summary(c, iter([])) == {"per_prime": [], "gcd": 0}
 
 
 def test_prym_order_divisibility_by_structural_torsion():
