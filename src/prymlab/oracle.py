@@ -36,13 +36,12 @@ as immutable bytes and tuples, and shared by every curve counted at p: a scan
 asks for the same few primes on every record.  Their caches hold the last 64
 primes, and every count checks p before it reads a table.
 
-Where primes are checked: `_require_good` states the rule once, and refuses
-with BadPrime a p that is not a prime >= 5, then one dividing 6*Delta (for
-`count_points_E`, 6 num(c) den(c)), then one above PRYMLAB_PRIME_CAP (default
-499, read at each call).  Every public entry that takes a p checks it so.  A
-prime list is read only by `require_good_primes`: it makes one tuple of any
-iterable, reads 6*Delta and the cap once, refuses a repeat or a bad prime in
-list order before any count, and returns the tuple its callers iterate.
+Primes are checked in one place, `_require_good`: p must be a prime >= 5,
+prime to 6*Delta (to 6 num(c) den(c) in `count_points_E`) and at most
+PRYMLAB_PRIME_CAP (default 499, read at each call), else BadPrime.  Every
+public entry that takes a p checks it.  A prime list is read once, by
+`require_good_primes`, into the tuple its callers iterate, each prime checked
+in list order before any count.
 """
 
 from __future__ import annotations
@@ -119,16 +118,16 @@ def _require_good(p: int, bad: int, cap: int, what: str) -> None:
 def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
     """The primes as a tuple, read once from any iterable; BadPrime for the first
     one, in list order, that repeats an earlier one or is no good prime of c."""
-    primes = tuple(primes)
+    checked = tuple(primes)
     bad = _six_delta(integral_model(c))
     cap = _prime_cap()
     seen = set()
-    for p in primes:
+    for p in checked:
         if p in seen:
             raise BadPrime(f"p = {p} given twice")
         _require_good(p, bad, cap, "6*Delta")
         seen.add(p)
-    return primes
+    return checked
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
