@@ -50,7 +50,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
@@ -117,17 +117,19 @@ def _require_good(p: int, bad: int, cap: int, what: str) -> None:
 
 def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
     """The primes as a tuple, read once from any iterable; BadPrime for the first
-    one, in list order, that repeats an earlier one or is no good prime of c."""
-    checked = tuple(primes)
+    one, in list order, that repeats an earlier one or is no good prime of c.
+
+    Each prime is checked as it is read, so an endless iterable is refused at
+    its first repeat, non-prime or prime above the cap."""
     bad = _six_delta(integral_model(c))
     cap = _prime_cap()
-    seen = set()
-    for p in checked:
-        if p in seen:
+    checked: Dict[int, None] = {}  # insertion-ordered
+    for p in primes:
+        if p in checked:
             raise BadPrime(f"p = {p} given twice")
         _require_good(p, bad, cap, "6*Delta")
-        seen.add(p)
-    return checked
+        checked[p] = None
+    return tuple(checked)
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:

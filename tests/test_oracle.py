@@ -1,6 +1,7 @@
 """Finite-field point counts, L-polynomials, Prym orders."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 from prymlab import oracle, records
 from prymlab.curves import EllipticModel, elliptic_quotients, new_curve, sextic_twist
 from prymlab.errors import BadPrime, InternalInconsistency, WeilBoundViolation
+from prymlab.factorization import primes_from
 from prymlab.oracle import (
     count_points_C,
     count_points_C_naive,
@@ -484,9 +486,10 @@ def test_every_refusal_text(monkeypatch, entry, ab, p, cap, text):
     assert str(info.value) == text
 
 
-def test_prime_lists_read_once_from_any_iterable():
+def test_prime_lists_read_once_from_any_iterable(monkeypatch):
     # a generator, an iterator or a map gives what the list gives: each list
     # is read once, into the tuple that is checked and then counted
+    monkeypatch.delenv("PRYMLAB_PRIME_CAP", raising=False)
     c = _c(3, 4)
     one_shot = [lambda: (p for p in [5, 11]), lambda: iter([5, 11]),
                 lambda: map(int, "5,11".split(","))]
@@ -504,6 +507,12 @@ def test_prime_lists_read_once_from_any_iterable():
     with pytest.raises(BadPrime, match=r"^need at least one good prime$"):
         torsion_multiplicative_bound(c, iter([]))
     assert records.oracle_summary(c, iter([])) == {"per_prime": [], "gcd": 0}
+    # each prime is checked as it is read, so an endless iterable is refused
+    # at its first bad prime instead of being read to the end
+    with pytest.raises(BadPrime, match=r"^p = 503 above enumeration cap 499$"):
+        records.oracle_summary(c, primes_from(11))
+    with pytest.raises(BadPrime, match=r"^p = 6 is not a usable prime"):
+        torsion_multiplicative_bound(c, itertools.count(5))
 
 
 def test_prym_order_divisibility_by_structural_torsion():
