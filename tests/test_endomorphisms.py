@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from prymlab import classify_record, endomorphisms
+from prymlab import classify_record, endo_profile, endomorphisms
 from prymlab.curves import bigonal_dual, discriminant, j_invariant, new_curve, sextic_twist
 from prymlab.endomorphisms import (
     CM_TABLE,
+    EndRing,
     cm_discriminant,
     elkies_t,
     end_ring,
@@ -197,6 +198,19 @@ def test_end_ring_matches_sixth_power_rule():
         gl2 = is_nth_power(delta, 6) is not None or is_nth_power(-27 * delta, 6) is not None
         assert end_ring(c).kind == expected, c
         assert is_gl2_type(c) == gl2, c
+        # the printed claims are the public predicates' claims; the two that
+        # need a non-CM Prym are null exactly where their predicates refuse
+        profile = endo_profile(c)
+        assert EndRing(profile["end_ring"], profile["cm_discriminant"]) == end_ring(c), c
+        assert profile["gl2_type"] == gl2, c
+        assert profile["sato_tate"] == sato_tate_label(c), c
+        for key, predicate in (("principally_polarizable", is_principally_polarizable),
+                               ("ns_rank", ns_rank)):
+            try:
+                claim = predicate(c)
+            except CMNotSupported:
+                claim = None
+            assert profile[key] == claim, (key, c)
         kinds[expected] += 1
     assert set(kinds) == {"Z", "Z_sqrt2", "Z_sqrt6", "CM"}
 
