@@ -30,6 +30,9 @@ assume geometric simplicity) and operations whose contracts require a non-CM
 surface raise CMNotSupported.  Sato-Tate labels are attached to the Galois
 label alone: D6 -> "J(E_6)", D3 -> "J(E_3)", nothing is asserted for D1/D2.
 
+Every rule above is stated once, in endo_field, which returns all the claims
+for one curve as a frozen EndoFieldDescriptor; the public predicates read it.
+
 The Shimura-curve coordinate t = (j+1)^2 / (4j) and its lifting criterion
 (t(t-1) a square or zero) are exposed for cross-checks; every j realized by a
 rational curve does lift, since t(t-1) = ((j^2-1)/(4j))^2 identically.
@@ -64,21 +67,6 @@ CM_TABLE = {
 # are their own inverses with the same discriminant
 _CM_BY_J_OR_INVERSE = {**{1 / j: disc for j, disc in CM_TABLE.items()}, **CM_TABLE}
 
-# Sato-Tate group per Galois label; nothing is asserted for D1/D2
-SATO_TATE_LABELS = {"D6": "J(E_6)", "D3": "J(E_3)"}
-
-
-@dataclass(frozen=True)
-class EndoFieldDescriptor:
-    """Splitting data of L = Q(omega, delta^(1/6)) with Gal(L/Q) = D_d."""
-
-    delta: Fraction
-    d2: int      # 1 or 2
-    d3: int      # 1 or 3
-    d: int       # lcm(d2, d3) in {1, 2, 3, 6}
-    degree: int  # 2*d
-    group_label: str  # "D1" | "D2" | "D3" | "D6"
-
 
 @dataclass(frozen=True)
 class EndRing:
@@ -88,73 +76,91 @@ class EndRing:
     cm_discriminant: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class EndoFieldDescriptor:
+    """End(P) of one curve: the splitting data of L = Q(omega, delta^(1/6)) with
+    Gal(L/Q) = D_d, j, and every endomorphism claim read off them."""
+
+    delta: Fraction
+    d2: int      # 1 or 2
+    d3: int      # 1 or 3
+    d: int       # lcm(d2, d3) in {1, 2, 3, 6}
+    degree: int  # 2*d
+    group_label: str  # "D1" | "D2" | "D3" | "D6"
+    j: Fraction
+    ring: EndRing
+    gl2_type: bool                           # d = 1
+    principally_polarizable: Optional[bool]  # End = Z[sqrt(2)]; None with CM
+    ns_rank: Optional[int]                   # 2 iff d = 1; None with CM
+    sato_tate: Optional[str]                 # "J(E_6)" for D6, "J(E_3)" for D3
+
+
 def endo_field(c: Curve) -> EndoFieldDescriptor:
-    """Descriptor of the endomorphism field of the Prym of c."""
+    """End(P) of the Prym of c, from one delta, one j and one CM lookup."""
     delta = discriminant(c)
     # delta = n/d in lowest terms: n*d has its square class, n*d^2 its cube class
     nd = delta.numerator * delta.denominator
     d2 = 1 if (is_square(nd) or is_square(-3 * nd)) else 2
     d3 = 1 if is_nth_power(nd * delta.denominator, 3) is not None else 3
     d = lcm(d2, d3)
+    j = j_invariant(c)
+    cm = _CM_BY_J_OR_INVERSE.get(j)
+    # CM beats real multiplication; else d = 1 gives Z[sqrt2] or Z[sqrt6] by
+    # the sign of delta, and d > 1 gives Z
+    if cm is not None:
+        ring = EndRing("CM", cm)
+    elif d != 1:
+        ring = EndRing("Z")
+    else:
+        ring = EndRing("Z_sqrt2" if delta > 0 else "Z_sqrt6")
+    # the NS rank is 1 + dim of the invariants of the reflection representation;
+    # over Q the image always holds a reflection, so they are nonzero iff d = 1
+    simple = cm is None
     return EndoFieldDescriptor(
-        delta=delta, d2=d2, d3=d3, d=d, degree=2 * d, group_label=f"D{d}"
+        delta=delta, d2=d2, d3=d3, d=d, degree=2 * d, group_label=f"D{d}", j=j, ring=ring,
+        gl2_type=d == 1,
+        principally_polarizable=ring.kind == "Z_sqrt2" if simple else None,
+        ns_rank=(2 if d == 1 else 1) if simple else None,
+        sato_tate={6: "J(E_6)", 3: "J(E_3)"}.get(d),
     )
+
+
+def _without_cm(c: Curve) -> EndoFieldDescriptor:
+    # the claims whose hypotheses assume a geometrically simple Prym
+    e = endo_field(c)
+    if e.ring.cm_discriminant is not None:
+        raise CMNotSupported(f"curve has CM (discriminant {e.ring.cm_discriminant})")
+    return e
 
 
 def cm_discriminant(c: Curve) -> Optional[int]:
     """CM discriminant when j or 1/j is in the rational CM table, else None."""
-    return _CM_BY_J_OR_INVERSE.get(j_invariant(c))
-
-
-def end_ring_from(field: EndoFieldDescriptor, cm: Optional[int]) -> EndRing:
-    """End(P)/Q from the endomorphism field and the CM discriminant (or None).
-
-    CM beats real multiplication; otherwise d = 1 gives Z[sqrt2] or Z[sqrt6]
-    by the sign of delta, and d > 1 gives Z.
-    """
-    if cm is not None:
-        return EndRing("CM", cm)
-    if field.d != 1:
-        return EndRing("Z")
-    return EndRing("Z_sqrt2" if field.delta > 0 else "Z_sqrt6")
+    return endo_field(c).ring.cm_discriminant
 
 
 def end_ring(c: Curve) -> EndRing:
     """End(P)/Q: CM beats the real-multiplication trichotomy Z[sqrt2]/Z[sqrt6]/Z."""
-    return end_ring_from(endo_field(c), cm_discriminant(c))
+    return endo_field(c).ring
 
 
 def is_gl2_type(c: Curve) -> bool:
     """True iff d = 1, i.e. delta or -27*delta is a rational sixth power."""
-    return endo_field(c).d == 1
-
-
-def _require_simple(c: Curve) -> None:
-    disc = cm_discriminant(c)
-    if disc is not None:
-        raise CMNotSupported(f"curve has CM (discriminant {disc})")
+    return endo_field(c).gl2_type
 
 
 def is_principally_polarizable(c: Curve) -> bool:
     """For non-CM Pryms: principally polarizable iff End = Z[sqrt(2)]."""
-    _require_simple(c)
-    return end_ring(c).kind == "Z_sqrt2"
+    return _without_cm(c).principally_polarizable
 
 
 def ns_rank(c: Curve) -> int:
-    """Neron-Severi rank of a non-CM Prym: 2 iff Galois image has order 2.
-
-    The rank is 1 + dim of the invariants of the two-dimensional reflection
-    representation; over Q the image always contains a reflection, so the
-    invariant space is nonzero exactly when d = 1.
-    """
-    _require_simple(c)
-    return 2 if endo_field(c).d == 1 else 1
+    """Neron-Severi rank of a non-CM Prym: 2 iff d = 1."""
+    return _without_cm(c).ns_rank
 
 
 def sato_tate_label(c: Curve) -> Optional[str]:
     """"J(E_6)" for D6 Galois image, "J(E_3)" for D3; no label otherwise."""
-    return SATO_TATE_LABELS.get(endo_field(c).group_label)
+    return endo_field(c).sato_tate
 
 
 def elkies_t(j: RationalLike) -> Fraction:

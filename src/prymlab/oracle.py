@@ -36,7 +36,7 @@ as immutable bytes and tuples, and shared by every curve counted at p: a scan
 asks for the same few primes on every record.  Their caches hold the last 64
 primes, and every count checks p before it reads a table.
 
-Primes are checked in one place, `_require_good`: p must be a prime >= 5,
+Primes are checked in one place, `_require_good`: p must be an int prime >= 5,
 prime to 6*Delta (to 6 num(c) den(c) in `count_points_E`) and at most
 PRYMLAB_PRIME_CAP (default 499, read at each call), else BadPrime.  Every
 public entry that takes a p checks it.  A prime list is read once, by
@@ -105,9 +105,9 @@ def _six_delta(m: Curve) -> int:
 
 
 def _require_good(p: int, bad: int, cap: int, what: str) -> None:
-    """The good-prime rule: BadPrime unless p is a prime >= 5, does not divide
+    """The good-prime rule: BadPrime unless p is an int prime >= 5, does not divide
     bad (named by what) and is at most cap."""
-    if p < 5 or not is_prime(p):
+    if not isinstance(p, int) or p < 5 or not is_prime(p):
         raise BadPrime(f"p = {p} is not a usable prime (need a prime >= 5)")
     if bad % p == 0:
         raise BadPrime(f"p = {p} divides {what}")

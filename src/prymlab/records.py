@@ -22,16 +22,8 @@ from .curves import (
     curve_to_dict,
     integral_model,
     is_special,
-    j_invariant,
 )
-from .endomorphisms import (
-    SATO_TATE_LABELS,
-    EndRing,
-    cm_discriminant,
-    elkies_t,
-    end_ring_from,
-    endo_field,
-)
+from .endomorphisms import EndoFieldDescriptor, elkies_t, endo_field
 from .oracle import good_primes, prym_order, require_good_primes
 from .rationals import format_rational
 from .torsion import torsion_group, torsion_to_dict
@@ -39,31 +31,26 @@ from .torsion import torsion_group, torsion_to_dict
 DEFAULT_ORACLE_PRIMES = 5
 
 
-def endo_profile(c: Curve) -> Dict:
-    """The endomorphism profile as a JSON-ready dict.
-
-    Everything is derived from one endo_field and one cm_discriminant call.
-    principally_polarizable and ns_rank are null for CM curves (their
-    hypotheses fail); the Sato-Tate label depends only on the Galois label.
-    """
-    field = endo_field(c)
-    cm = cm_discriminant(c)
-    ring = end_ring_from(field, cm)
-    gl2 = field.d == 1
-    simple = cm is None
+def endo_to_dict(e: EndoFieldDescriptor) -> Dict:
+    """JSON form of an End(P) value (rationals as strings)."""
     return {
-        "delta": format_rational(field.delta),
-        "d": field.d,
-        "degree": field.degree,
-        "group_label": field.group_label,
-        "end_ring": ring.kind,
-        "cm_discriminant": cm,
-        "gl2_type": gl2,
-        "principally_polarizable": ring.kind == "Z_sqrt2" if simple else None,
-        "ns_rank": (2 if gl2 else 1) if simple else None,
-        "sato_tate": SATO_TATE_LABELS.get(field.group_label),
-        "elkies_t": format_rational(elkies_t(j_invariant(c))),
+        "delta": format_rational(e.delta),
+        "d": e.d,
+        "degree": e.degree,
+        "group_label": e.group_label,
+        "end_ring": e.ring.kind,
+        "cm_discriminant": e.ring.cm_discriminant,
+        "gl2_type": e.gl2_type,
+        "principally_polarizable": e.principally_polarizable,
+        "ns_rank": e.ns_rank,
+        "sato_tate": e.sato_tate,
+        "elkies_t": format_rational(elkies_t(e.j)),
     }
+
+
+def endo_profile(c: Curve) -> Dict:
+    """The endomorphism profile of c as a JSON-ready dict."""
+    return endo_to_dict(endo_field(c))
 
 
 def oracle_summary(c: Curve, primes: Iterable[int]) -> Dict:
@@ -97,7 +84,7 @@ def classify_record(
     DEFAULT_ORACLE_PRIMES good primes from 5 upward.  The curve is normalized
     once; the oracle and torsion layers get its integral model, the printed
     invariants and the endomorphism profile the curve as given.  End(P) is
-    derived once, by endo_profile, and handed to torsion_group.
+    derived once, by endo_field, and its ring handed to torsion_group.
     """
     m = integral_model(c)
     summary = None
@@ -106,12 +93,13 @@ def classify_record(
         summary = oracle_summary(m, good_primes(m, DEFAULT_ORACLE_PRIMES)
                                  if primes is None else primes)
         bound = summary["gcd"]
-    endo = endo_profile(c)
-    ring = EndRing(endo["end_ring"], endo["cm_discriminant"])
-    torsion = torsion_group(m, oracle_bound=bound, ring=ring)
+    e = endo_field(c)
+    # serialized before the torsion: a huge delta fails fast in format_rational
+    endo = endo_to_dict(e)
+    torsion = torsion_group(m, oracle_bound=bound, ring=e.ring)
     return {
         "curve": curve_to_dict(c),
-        "j": format_rational(j_invariant(c)),
+        "j": format_rational(e.j),
         "delta": endo["delta"],
         "special": is_special(c),
         "endo": endo,

@@ -175,6 +175,10 @@ def torsion_group(
     two = two_torsion(model)
     three = three_part(model, oracle_bound)
     m, n = two.rank, three.r
+    if oracle_bound:
+        v2 = valuation(oracle_bound, 2)
+        if v2 < m:
+            raise InternalInconsistency(f"oracle 2-part {v2} below proven rank {m} for {c}")
     if m == 2 and (three.r != 0 or three.r_twist != 0):
         # 2-torsion is twist-invariant and (Z/2)^2 x Z/3 is excluded, so a
         # maximal 2-part with any 3-part signal is impossible.

@@ -217,9 +217,10 @@ def test_end_ring_matches_sixth_power_rule():
 
 @pytest.fixture
 def endo_calls(monkeypatch):
-    """Calls of endo_field and cm_discriminant, rebound wherever prymlab holds them."""
+    """Calls of endo_field, cm_discriminant and j_invariant, rebound wherever
+    prymlab holds them."""
     calls = Counter()
-    for fn in (endo_field, cm_discriminant):
+    for fn in (endo_field, cm_discriminant, j_invariant):
         def counting(c, fn=fn):
             calls[fn.__name__] += 1
             return fn(c)
@@ -238,7 +239,7 @@ def test_end_ring_derived_once_per_record(endo_calls, with_oracle):
     for c in curves:
         endo_calls.clear()
         record = classify_record(c, with_oracle=with_oracle)
-        assert endo_calls == {"endo_field": 1, "cm_discriminant": 1}, c
+        assert endo_calls == {"endo_field": 1, "j_invariant": 1}, c
         assert record["torsion"] == torsion_to_dict(torsion_group(c))
         kinds.add(record["endo"]["end_ring"])
     assert kinds == {"Z", "CM", "Z_sqrt2", "Z_sqrt6"}

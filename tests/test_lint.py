@@ -1,5 +1,6 @@
 """Lint of the package source by its syntax tree: no unused import, no dead
-private function or class."""
+private function or class, and an export list that is exactly what the package
+imports."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,16 @@ def test_every_private_function_and_class_is_referenced():
                 referenced.update(_references(node))
     assert len(private) >= 20
     assert [f"{module}.{fn}" for module, fn in private if fn not in referenced] == []
+
+
+def test_exports_are_exactly_the_imports():
+    # __init__ re-exports every name it imports, each once, in sorted order
+    tree = _modules()["__init__"]
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"])
+    assert len(exported) >= 60
+    assert exported == sorted(set(exported))
+    assert sorted(imported) == exported

@@ -443,6 +443,10 @@ _PRIME_LIST = {
 _REFUSALS = [  # (case, (a, b), p, PRYMLAB_PRIME_CAP or None, text)
     ("p_below_5", (3, 4), 3, None, "p = 3 is not a usable prime (need a prime >= 5)"),
     ("composite", (3, 4), 25, None, "p = 25 is not a usable prime (need a prime >= 5)"),
+    ("float_prime", (3, 4), 13.0, None, "p = 13.0 is not a usable prime (need a prime >= 5)"),
+    ("non_integral", (3, 4), 5.5, None, "p = 5.5 is not a usable prime (need a prime >= 5)"),
+    ("fraction_prime", (3, 4), Fraction(13), None,
+     "p = 13 is not a usable prime (need a prime >= 5)"),
     ("p_divides_6Delta", (3, 4), 7, None, "p = 7 divides 6*Delta"),
     ("above_cap", (3, 4), 61, "60", "p = 61 above enumeration cap 60"),
     ("p_divides_6Delta_above_cap", (0, 67), 67, "60", "p = 67 divides 6*Delta"),

@@ -129,6 +129,15 @@ def test_three_part_oracle_contradiction():
         three_part(c, oracle_bound=2)  # v_3(2) = 0 < 1
 
 
+def test_torsion_group_oracle_two_part_contradiction():
+    c = _c(-10, 17)  # two_rank 1: Z/2 cannot divide an oracle bound of 3
+    assert torsion_group(c).group_name == "Z/2"
+    with pytest.raises(InternalInconsistency,
+                       match=r"^oracle 2-part 0 below proven rank 1 for C\(-10, 17\)$"):
+        torsion_group(c, oracle_bound=3)  # v_2(3) = 0 < 1
+    assert torsion_group(c, oracle_bound=2).group_name == "Z/2"
+
+
 def test_three_part_twist_rank_matches_integral_twist():
     # three_part ranks the -27 twist of the integral model as given; the
     # reference takes the twist of c and its own integral model
