@@ -81,6 +81,18 @@ def test_extension_counts_match_brute_force():
              (-5, 4, 7, 3), (3, 5, 7, 3), (-2, 3, 13, 3),
              (0, 5, 11, 2), (2, 5, 11, 2), (-5, 4, 11, 2), (0, -3, 17, 2), (1, 2, 17, 2),
              (0, 3, 13, 2), (0, 2, 7, 3)]
+    cases += [
+        # p = 23 = 2 mod 3 and a != 0 mod p: the line-table route, where
+        # 2t + a/u1 runs past p for many (u1, t) and is read mod p
+        (3, 4, 23, 2),
+        # a = 17 != 0 but a = 0 mod 17 (p = 2 mod 3): the reduction, not a,
+        # decides a/u1 = 0
+        (17, 3, 17, 2),
+        # p = 1 mod 3 with d1 = 0, the cases prym_order sends to N_2: a = 0 at
+        # p = 19 = 7 mod 12, and a != 0 mod p at p = 13 (the norm test)
+        (0, 5, 19, 2), (1, 5, 13, 2),
+    ]
+    assert _d1(0, 5, 19) == (0, 0) and _d1(1, 5, 13) == (0, 0)
     for a, b, p, k in cases:
         c = _c(a, b)
         field = FiniteField(p, k)
