@@ -5,8 +5,8 @@ rational criteria, only counts points mod p and reconstructs L-polynomials.
 
 For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
 
-* #C(F_{p^k}) for k = 1, 2, 3 in pure Python with O(p) memory (below); when
-  q = 2 mod 3 cubing is a bijection and the count is q + 1 with no enumeration.
+* #C(F_{p^k}) for k = 1, 2, 3 in pure Python (below); when q = 2 mod 3
+  cubing is a bijection and the count is q + 1 with no enumeration.
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
 * L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
 * The Prym quartic L_P from its power sums s_1, s_2, and L_C = L_E * L_P as
@@ -25,16 +25,23 @@ non-square (k = 2) or non-cube (k = 3), and every table is indexed by F_p: at
 p = 1 mod 3, v is a cube iff N(v) is a cube of F_p (Hasse-Davenport); at
 p = 2 mod 3 (k = 2 only), F_p^* lies in the cubes and v is a cube iff its line
 v0 / v1 is that of some (s + z)^3.  Frobenius multiplies z by a root of
-unity, so each Frobenius orbit of u is summed once.  N_2 costs O(p^2) and
-N_3 O(p^3) steps.  A naive double loop over (x, y) is kept as a second,
-independent counter for small p.
+unity, so each Frobenius orbit of u is summed once.  N_1 costs O(p) steps
+and N_3 O(p^3).  N_2 costs (p - 1)/2 steps of one AND and one popcount of
+p-bit ints: off F_p, whether g(u) is a cube depends on the curve only through
+E = 4r + (4b - a^2)/u1^2 and a shift, so the cube test is a per-prime row of
+E, cached (`_count_quadratic`).  A count whose rows are all new also builds
+its (p - 1)/2 rows, (p + 1)/2 steps each.  A naive double loop over (x, y) is
+kept as a second, independent counter for small p.
 
 Everything past the curve's reduction mod p is integer arithmetic.  The
 tables that depend on p alone (square-root counts, cube classes, the F_{p^2}
-lines, inverses and line classes) are built once per prime and process, kept
-as immutable bytes and tuples, and shared by every curve counted at p: a scan
-asks for the same few primes on every record.  Their caches hold the last 64
-primes, and every count checks p before it reads a table.
+lines and inverses) and the cube rows, which depend on (p, E), are built on
+first use, kept as immutable bytes, tuples and ints, and shared by every curve
+counted at p: a scan asks for the same few primes on every record.  The table
+caches hold the last 64 primes, each table O(p) entries; the row cache holds
+the last 8192 (p, E) entries of one or three p-bit rows, whatever the prime
+cap, at most ~4 MB at the default cap of 499.  Every count checks p before it
+reads a table.
 
 Primes are checked in one place, `_require_good`: p must be an int prime >= 5,
 prime to 6*Delta (to 6 num(c) den(c) in `count_points_E`) and at most
@@ -135,7 +142,11 @@ def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3.
 
-    Pure Python with O(p) memory: N_1 costs O(p) steps, N_2 O(p^2), N_3 O(p^3).
+    Pure Python.  N_1 costs O(p) steps and N_3 O(p^3), with O(p) memory.  N_2
+    costs (p - 1)/2 steps of an AND and a popcount of p-bit ints, plus
+    O(p^2) steps when the cube rows it reads at p are new; the rows are cached
+    (at most 8192 entries of up to three p-bit ints, ~4 MB at the default
+    cap).
     """
     if k not in (1, 2, 3):
         raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
@@ -155,26 +166,31 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
 
 
 def _count_quadratic(p: int, a: int, b: int) -> int:
-    """Affine count over F_{p^2} = F_p(z), z^2 = r."""
-    r, lines, n3, inv, line = _quadratic_tables(p)
-    # u = u0 in F_p has N(u) = u0^2, a nonzero square but at u0 = 0; off F_p,
-    # u = u1 (t + z) and its conjugate (u1 -> -u1) each weigh 1 + psi(t + z):
-    # 2 for t in lines, else 0
-    total = n3[b * b % p] + 2 * sum(n3[(u * (u + a) + b) ** 2 % p] for u in range(1, p))
-    half = 0
-    for u1 in range(1, (p + 1) // 2):
-        c = r * u1 * u1 + b
-        for t in lines:
-            u0 = t * u1
-            v0 = (u0 * (u0 + a) + c) % p
-            v1 = u1 * (2 * u0 + a) % p
-            if inv is None:
-                half += n3[(v0 * v0 - r * v1 * v1) % p]
-            elif v1:
-                half += line[v0 * inv[v1] % p]
-            else:
-                half += n3[v0]
-    return total + 4 * half
+    """Affine count over F_{p^2} = F_p(z), z^2 = r.
+
+    u = u0 in F_p has N(u) = u0^2, a nonzero square but at u0 = 0.  Off F_p,
+    u = u1 (t + z) and its conjugate (u1 -> -u1) each weigh 1 + psi(t + z): 2
+    for t in lines, else 0.  With y = 2t + a/u1 and E = 4r + (4b - a^2)/u1^2,
+    g(u) = u1^2 w, w = (y^2 + E)/4 + y z, and whether w is a cube reads only
+    (p, E, y): so each u1 costs one AND of the per-prime row of E with the line
+    set shifted by a/u1, and one popcount.  w = 0 only at E = y = 0.
+    """
+    r, spread, units, _, _ = _quadratic_tables(p)
+    if p % 3 == 2:
+        # n3 is 3 on F_p^* and 1 at 0; b != 0 and g has roots[a^2 - 4b] roots in F_p
+        total = 3 + 2 * (3 * (p - 1) - 2 * _square_root_counts(p)[(a * a - 4 * b) % p])
+    else:
+        n3 = _cube_classes(p).n3  # indexed by the norm v^2 of v in F_p
+        total = n3[b * b % p] + 2 * sum(n3[(u * (u + a) + b) ** 2 % p] for u in range(1, p))
+    r4, d, na = 4 * r % p, (4 * b - a * a) % p, -a % p
+    cubes = zeros = 0
+    for iu, iu2, c in units:
+        e = (r4 + d * iu2) % p
+        shifted = spread >> (na * iu % p)  # bit y: y - a/u1 = 2t for a t in lines
+        cubes += (shifted & _cube_rows(p, e)[c]).bit_count()
+        if not e:
+            zeros += shifted & 1
+    return total + 4 * (3 * cubes + zeros)
 
 
 def _count_cubic(p: int, a: int, b: int, roots: bytes, r: int, n3: bytes) -> int:
@@ -270,30 +286,73 @@ def _cube_classes(p: int) -> _CubeTables:
                        tuple(v for v in range(1, p) if cls[v] == 0))
 
 
-@functools.lru_cache(maxsize=_TABLE_PRIMES)
-def _quadratic_tables(p: int) -> Tuple[int, Tuple[int, ...], bytes, Optional[Tuple[int, ...]],
-                                        Optional[bytes]]:
-    """(r, lines, n3, inv, line) for F_{p^2} = F_p(z), z^2 = r, r the least non-square.
+class _QuadraticTables(NamedTuple):
+    r: int  # z^2 = r, the least non-square mod p
+    spread: int  # X | X << p, X the p-bit set of 2t mod p over the t with psi(t + z) = 1
+    units: Tuple[Tuple[int, int, int], ...]  # (1/u1, 1/u1^2, the row class u1 reads), 1 <= u1 <= (p-1)/2
+    pairs: Tuple[Tuple[int, int], ...]  # what a row reads at each y <= (p-1)/2 (see _cube_rows)
+    classes: bytes  # the cube class a row reads: of the line s + z, or of F_p^*
 
-    lines holds the t with psi(t + z) = 1, i.e. t^2 - r a nonzero square.  At
-    p = 1 mod 3, n3 is indexed by the norm, and inv and line are None.  At
-    p = 2 mod 3, F_p^* lies in the cubes (n3 is 3 but at 0), inv[x] = 1/x, and
-    line[s] = 3 when s + z is a cube, read off (s + z)^3.
+
+@functools.lru_cache(maxsize=_TABLE_PRIMES)
+def _quadratic_tables(p: int) -> _QuadraticTables:
+    """The tables of F_{p^2} = F_p(z), z^2 = r, that the rows and the count read.
+
+    At p = 2 mod 3, F_p^* lies in the cubes, classes[s] = 0 marks the s with
+    s + z a cube (read off (s + z)^3), and pairs[y - 1] = (y/4, 1/(4y)).  At
+    p = 1 mod 3, classes is the cube-class table of F_p, pairs[y] =
+    (y^2/4, r y^2), and u1 reads the row of class -cls(u1).
     """
     roots = _square_root_counts(p)
     r = 2
     while roots[r]:
         r += 1
-    lines = tuple(t for t in range(p) if roots[(t * t - r) % p])
-    if p % 3 == 1:
-        return r, lines, _cube_classes(p).n3, None, None
+    half = (p - 1) // 2
     inv = (0,) + tuple(pow(x, -1, p) for x in range(1, p))
-    line = bytearray(p)
-    for s in range(p):
-        w1 = (3 * s * s + r) % p
-        if w1:
-            line[(s * s + 3 * r) * s * inv[w1] % p] = 3
-    return r, lines, bytes([1]) + bytes([3]) * (p - 1), inv, bytes(line)
+    spread = sum(1 << (2 * t % p) for t in range(p) if roots[(t * t - r) % p])
+    if p % 3 == 2:
+        classes = bytearray([1]) * p
+        for s in range(p):
+            w1 = (3 * s * s + r) % p
+            if w1:
+                classes[(s * s + 3 * r) * s * inv[w1] % p] = 0
+        units = tuple((inv[u], inv[u] * inv[u] % p, 0) for u in range(1, half + 1))
+        pairs = tuple((y * inv[4] % p, inv[4 * y % p]) for y in range(1, half + 1))
+    else:
+        classes = _cube_classes(p).cls
+        units = tuple((inv[u], inv[u] * inv[u] % p, -classes[u] % 3) for u in range(1, half + 1))
+        pairs = tuple((y * y * inv[4] % p, r * y * y % p) for y in range(half + 1))
+    return _QuadraticTables(r, spread | spread << p, units, pairs, bytes(classes))
+
+
+# A row is a p-bit int.  The cache holds at most _ROW_SETS (p, E) entries of one
+# row (p = 2 mod 3) or three (p = 1 mod 3), whatever the prime cap: full of
+# three-row entries near p = 499 it takes ~4 MB (~480 bytes an entry), and every
+# row of every p = 2 mod 3 up to 499 (10981 entries) would take ~1.3 MB.
+_ROW_SETS = 8192
+_ROW_DIGITS = tuple(b"0" * c + b"1" + b"0" * (255 - c) for c in range(3))  # class c -> "1"
+
+
+@functools.lru_cache(maxsize=_ROW_SETS)
+def _cube_rows(p: int, e: int) -> Tuple[int, ...]:
+    """The rows of E = e: bit y of row c is set when w = (y^2 + e)/4 + y z has
+    cube class c, so u1^2 w is a nonzero cube of F_{p^2} exactly on row -cls(u1).
+
+    At p = 2 mod 3 there is one row, of the y where w is a nonzero cube: its line
+    (y + e/y)/4 is a cube line, or y = 0 and w = e/4 != 0.  At p = 1 mod 3
+    there are three, by the class of N(w) = ((y^2 + e)/4)^2 - r y^2 (none at
+    w = 0).  Both tests are even in y, so a row is read off y <= (p-1)/2.
+    """
+    _, _, _, pairs, classes = _quadratic_tables(p)
+    if p % 3 == 2:
+        half = bytes([0 if e else 3]) + bytes(classes[(q + e * w) % p] for q, w in pairs)
+        digits = _ROW_DIGITS[:1]
+    else:
+        e4 = e * pow(4, -1, p) % p
+        half = bytes(classes[((q + e4) ** 2 - ry) % p] for q, ry in pairs)
+        digits = _ROW_DIGITS
+    text = half[1:] + half[::-1]  # the classes of y = p - 1 down to 0, high bit first
+    return tuple(int(text.translate(d), 2) for d in digits)
 
 
 def _from_power_sums(s: Sequence[int], p: int, genus: int) -> Tuple[int, ...]:

@@ -286,26 +286,43 @@ def test_prime_cap_env(monkeypatch):
 
 
 def test_per_prime_tables_built_once_and_bounded(monkeypatch):
-    # the tables depend on p alone: immutable, shared by every curve at p, and
-    # kept for a bounded number of primes
+    # the tables depend on p alone and the cube rows on (p, E) alone: immutable,
+    # shared by every curve at p, and kept for a bounded number of primes (the
+    # O(p) tables) or of rows (whatever the prime cap)
     monkeypatch.delenv("PRYMLAB_PRIME_CAP", raising=False)
     for a, b in ((3, 4), (-5, 4)):
         for p in (13, 17, 61):
             prym_order(_c(a, b), p)
     roots, cubes = oracle._square_root_counts(13), oracle._cube_classes(13)
     for p in (13, 17):
-        r, lines, n3, inv, line = oracle._quadratic_tables(p)
-        assert type(n3) is bytes and type(lines) is tuple
-        if p % 3 == 1:
-            assert inv is None and line is None
-        else:
-            assert type(inv) is tuple and type(line) is bytes
+        r, spread, units, pairs, classes = oracle._quadratic_tables(p)
+        assert [type(t) for t in (r, spread, units, pairs, classes)] == [int, int, tuple, tuple, bytes]
+        assert {type(u) for u in units + pairs} == {tuple}
     assert [type(t) for t in (roots, cubes.cls, cubes.n3)] == [bytes] * 3
     assert type(cubes.cubes) is tuple
     assert oracle._square_root_counts(13) is roots and oracle._cube_classes(13) is cubes
     for table in (oracle._square_root_counts, oracle._cube_classes, oracle._quadratic_tables):
         info = table.cache_info()
         assert info.hits > 0 and info.maxsize is not None and 0 < info.maxsize <= 64
+    # two curves at p whose 4b - a^2 share a square class read the same E, so
+    # each row is read twice, once per curve, and is the same object both times:
+    # p = 17 (one row per E) and the d1 = 0 fallback at p = 19 (three rows per E)
+    cube_rows, read = oracle._cube_rows, {}
+
+    def reading(p, e):
+        rows = cube_rows(p, e)
+        read.setdefault((p, e), []).append(rows)
+        return rows
+
+    monkeypatch.setattr(oracle, "_cube_rows", reading)
+    for a, b, p in ((3, 4, 17), (0, 3, 17), (0, 5, 19), (0, 4, 19)):
+        count_points_C(_c(a, b), p, 2)
+    assert sorted({p for p, _ in read}) == [17, 19]
+    for (p, _), seen in read.items():
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert type(seen[0]) is tuple and [type(row) for row in seen[0]] == [int] * (3 - 2 * (p % 3 == 2))
+    info = cube_rows.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 8192
     # warm tables lift no cap: 61 is refused at every public entry, also with its
     # own tables built
     c = _c(-5, 4)
@@ -617,10 +634,12 @@ def test_character_route_matches_sweep_route(sweeps):
 def test_no_sweep_at_p_1_mod_3(sweeps):
     # C(3, 4) has d1 != 0 at these primes; p = 2 mod 3 still sweeps F_{p^2}
     c = _c(3, 4)
+    rows = oracle._cube_rows.cache_info()
     for p in (13, 31, 61, 97, 199):
         assert _d1(3, 4, p) != (0, 0)
         prym_order(c, p)
     assert sweeps == []
+    assert oracle._cube_rows.cache_info() == rows  # no cube row read or built
     prym_order(c, 197)
     assert sweeps == [(197, 1), (197, 2)]
 
