@@ -144,9 +144,8 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
 
     Pure Python.  N_1 costs O(p) steps and N_3 O(p^3), with O(p) memory.  N_2
     costs (p - 1)/2 steps of an AND and a popcount of p-bit ints, plus
-    O(p^2) steps when the cube rows it reads at p are new; the rows are cached
-    (at most 8192 entries of up to three p-bit ints, ~4 MB at the default
-    cap).
+    O(p^2) steps when the cube rows it reads at p are new; the row cache is
+    bounded by `_ROW_SETS` entries (~4 MB at the default cap).
     """
     if k not in (1, 2, 3):
         raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
@@ -286,22 +285,19 @@ def _cube_classes(p: int) -> _CubeTables:
                        tuple(v for v in range(1, p) if cls[v] == 0))
 
 
-class _QuadraticTables(NamedTuple):
-    r: int  # z^2 = r, the least non-square mod p
-    spread: int  # X | X << p, X the p-bit set of 2t mod p over the t with psi(t + z) = 1
-    units: Tuple[Tuple[int, int, int], ...]  # (1/u1, 1/u1^2, the row class u1 reads), 1 <= u1 <= (p-1)/2
-    pairs: Tuple[Tuple[int, int], ...]  # what a row reads at each y <= (p-1)/2 (see _cube_rows)
-    classes: bytes  # the cube class a row reads: of the line s + z, or of F_p^*
-
-
 @functools.lru_cache(maxsize=_TABLE_PRIMES)
-def _quadratic_tables(p: int) -> _QuadraticTables:
-    """The tables of F_{p^2} = F_p(z), z^2 = r, that the rows and the count read.
+def _quadratic_tables(p: int) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...],
+                                        Tuple[Tuple[int, int], ...], bytes]:
+    """(r, spread, units, pairs, classes) for F_{p^2} = F_p(z), z^2 = r, r the least
+    non-square: what the count and its cube rows read.
 
-    At p = 2 mod 3, F_p^* lies in the cubes, classes[s] = 0 marks the s with
-    s + z a cube (read off (s + z)^3), and pairs[y - 1] = (y/4, 1/(4y)).  At
-    p = 1 mod 3, classes is the cube-class table of F_p, pairs[y] =
-    (y^2/4, r y^2), and u1 reads the row of class -cls(u1).
+    spread is X | X << p, X the p-bit set of the 2t mod p over the t with
+    psi(t + z) = 1, i.e. t^2 - r a nonzero square.  units holds (1/u1, 1/u1^2,
+    the row class u1 reads) for 1 <= u1 <= (p-1)/2.  At p = 2 mod 3, F_p^* lies
+    in the cubes, every u1 reads row 0, classes[s] = 0 marks the s with s + z a
+    cube (read off (s + z)^3), and pairs[y - 1] = (y/4, 1/(4y)).  At
+    p = 1 mod 3, u1 reads the row of class -cls(u1), classes is the cube-class
+    table of F_p, and pairs[y] = (y^2/4, r y^2).
     """
     roots = _square_root_counts(p)
     r = 2
@@ -322,7 +318,7 @@ def _quadratic_tables(p: int) -> _QuadraticTables:
         classes = _cube_classes(p).cls
         units = tuple((inv[u], inv[u] * inv[u] % p, -classes[u] % 3) for u in range(1, half + 1))
         pairs = tuple((y * y * inv[4] % p, r * y * y % p) for y in range(half + 1))
-    return _QuadraticTables(r, spread | spread << p, units, pairs, bytes(classes))
+    return r, spread | spread << p, units, pairs, bytes(classes)
 
 
 # A row is a p-bit int.  The cache holds at most _ROW_SETS (p, E) entries of one
