@@ -320,7 +320,8 @@ def test_per_prime_tables_built_once_and_bounded(monkeypatch):
     assert sorted({p for p, _ in read}) == [17, 19]
     for (p, _), seen in read.items():
         assert len(seen) == 2 and seen[0] is seen[1]
-        assert type(seen[0]) is tuple and [type(row) for row in seen[0]] == [int] * (3 - 2 * (p % 3 == 2))
+        assert type(seen[0]) is tuple and len(seen[0]) == (1 if p % 3 == 2 else 3)
+        assert all(type(row) is int for row in seen[0])
     info = cube_rows.cache_info()
     assert info.maxsize is not None and 0 < info.maxsize <= 8192
     # warm tables lift no cap: 61 is refused at every public entry, also with its
