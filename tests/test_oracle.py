@@ -109,6 +109,35 @@ def test_extension_counts_match_brute_force():
         assert count_points_C(c, p, k) == count, (a, b, p, k)
 
 
+def test_p_1_mod_3_sums_match_brute_force():
+    # every p = 1 mod 3 count through the public entries, against plain loops:
+    # #E(F_p) at every c mod p, N_1 at every good (a, b) mod p, and N_2 against
+    # the tower at every (a, b) for p = 7, 13 and on the a = 0 curves (d1 = 0 at
+    # p = 7 mod 12, the fallback) at p = 19, 31
+    for p in (7, 13, 19, 31, 37):
+        for c in range(1, p):
+            plain = 1 + sum(1 for x in range(p) for y in range(p) if (y * y - x ** 3 - c) % p == 0)
+            assert count_points_E(EllipticModel(Fraction(c), "E"), p) == plain, (c, p)
+        for a in range(p):
+            for b in range(1, p):
+                if (a * a - 4 * b) % p:
+                    assert count_points_C(_c(a, b), p, 1) == count_points_C_naive(_c(a, b), p), (a, b, p)
+    for p, a_values in ((7, range(7)), (13, range(13)), (19, [0]), (31, [0])):
+        field = FiniteField(p, 2)
+        cubes = {}
+        for yi in range(p * p):
+            enc = (field.decode(yi) ** 3).coords
+            cubes[enc] = cubes.get(enc, 0) + 1
+        powers = [((x * x).coords, (x ** 4).coords) for x in map(field.decode, range(p * p))]
+        for a in a_values:
+            for b in range(1, p):
+                if (a * a - 4 * b) % p == 0:
+                    continue
+                count = 1 + sum(cubes.get(((x4[0] + a * x2[0] + b) % p, (x4[1] + a * x2[1]) % p), 0)
+                                for x2, x4 in powers)
+                assert count_points_C(_c(a, b), p, 2) == count, (a, b, p)
+
+
 # sha256 of the (a, b, p, k, N_k) rows below as counted by the numpy sweep the
 # pure-Python counter replaced
 _PINNED_COUNTS = "fb69a6fa07f38e6fb7093c9f4b4f86b0b5c8ead8dff6366a09ad7f79b2456611"
