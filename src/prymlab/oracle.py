@@ -157,11 +157,11 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     a, b = m.a.numerator % p, m.b.numerator % p
     if k == 2:
         return _count_quadratic(p, a, b) + 1
-    roots = _square_root_counts(p)
-    r, _, n3, _ = _cube_classes(p)  # v in F_q has n3[N(v)] cube roots
     if k == 1:
-        return sum(roots[u] * n3[(u * (u + a) + b) % p] for u in range(p)) + 1
-    return _count_cubic(p, a, b, roots, r, n3) + 1
+        n_c = _class_counts(p, a, b)[1]
+        return 3 * n_c[0] + n_c[3] + 1  # n3 is 3 on the cubes, 1 at 0
+    tables = _cube_classes(p)  # v in F_q has n3[N(v)] cube roots
+    return _count_cubic(p, a, b, _square_root_counts(p), tables.r, tables.n3) + 1
 
 
 def _count_quadratic(p: int, a: int, b: int) -> int:
@@ -179,8 +179,9 @@ def _count_quadratic(p: int, a: int, b: int) -> int:
         # n3 is 3 on F_p^* and 1 at 0; b != 0 and g has roots[a^2 - 4b] roots in F_p
         total = 3 + 2 * (3 * (p - 1) - 2 * _square_root_counts(p)[(a * a - 4 * b) % p])
     else:
-        n3 = _cube_classes(p).n3  # indexed by the norm v^2 of v in F_p
-        total = n3[b * b % p] + 2 * sum(n3[(u * (u + a) + b) ** 2 % p] for u in range(1, p))
+        # v in F_p has norm v^2, and n3[v^2] = n3[v]: u = 0 once, the other u twice
+        n3b, n_e = _cube_classes(p).n3[b], _class_counts(p, a, b)[0]
+        total = n3b + 2 * (3 * n_e[0] + n_e[3] - n3b)
     r4, d, na = 4 * r % p, (4 * b - a * a) % p, -a % p
     cubes = zeros = 0
     for iu, iu2, c in units:
@@ -237,9 +238,11 @@ def count_points_E(e: EllipticModel, p: int) -> int:
     c = num * pow(den, -1, p) % p
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
-    roots = _square_root_counts(p)
-    # x^3 is 0 once and each nonzero cube three times
-    return 1 + roots[c] + 3 * sum(roots[(t + c) % p] for t in _cube_classes(p).cubes)
+    _, cls, _, squares, cubes = _cube_classes(p)
+    # x^3 is 0 once and each nonzero cube t three times; t + c is a nonzero
+    # square on the bits of cubes & (squares >> c), and 0 at t = -c
+    hits = 2 * (cubes & squares >> c).bit_count() + (cls[-c % p] == 0)
+    return 1 + _square_root_counts(p)[c] + 3 * hits
 
 
 # Tables that depend on p alone, built once per prime and shared by every count
@@ -259,13 +262,20 @@ def _square_root_counts(p: int) -> bytes:
 
 
 _N3_BY_CLASS = bytes([3, 0, 0, 1]) + bytes(252)  # cube-root counts by class, for bytes.translate
+_ROW_DIGITS = tuple(b"0" * c + b"1" + b"0" * (255 - c) for c in range(3))  # byte c -> "1"
+
+
+def _bits(text: bytes, c: int) -> int:
+    """The int whose bit v is set where text, read from v = len - 1 down to 0, holds byte c."""
+    return int(text.translate(_ROW_DIGITS[c]), 2)
 
 
 class _CubeTables(NamedTuple):
     r: int  # the least non-cube mod p
     cls: bytes  # cls[v] = i for v in r^i (F_p^*)^3; cls[0] = 3 marks v = 0
     n3: bytes  # n3[v] = the number of cube roots of v in F_p
-    cubes: Tuple[int, ...]  # the nonzero cubes
+    squares: int  # X | X << p, X the p-bit set of the nonzero squares: >> s rotates by s
+    cubes: int  # the p-bit set of the nonzero cubes
 
 
 @functools.lru_cache(maxsize=_TABLE_PRIMES)
@@ -281,8 +291,9 @@ def _cube_classes(p: int) -> _CubeTables:
         cls[t] = 0
         cls[t * r % p] = 1
     cls = bytes(cls)
-    return _CubeTables(r, cls, cls.translate(_N3_BY_CLASS),
-                       tuple(v for v in range(1, p) if cls[v] == 0))
+    squares = _bits(_square_root_counts(p)[::-1], 2)
+    return _CubeTables(r, cls, cls.translate(_N3_BY_CLASS), squares | squares << p,
+                       _bits(cls[::-1], 0))
 
 
 @functools.lru_cache(maxsize=_TABLE_PRIMES)
@@ -326,7 +337,6 @@ def _quadratic_tables(p: int) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...
 # three-row entries near p = 499 it takes ~4 MB (~480 bytes an entry), and every
 # row of every p = 2 mod 3 up to 499 (10981 entries) would take ~1.3 MB.
 _ROW_SETS = 8192
-_ROW_DIGITS = tuple(b"0" * c + b"1" + b"0" * (255 - c) for c in range(3))  # class c -> "1"
 
 
 @functools.lru_cache(maxsize=_ROW_SETS)
@@ -342,13 +352,32 @@ def _cube_rows(p: int, e: int) -> Tuple[int, ...]:
     _, _, _, pairs, classes = _quadratic_tables(p)
     if p % 3 == 2:
         half = bytes([0 if e else 3]) + bytes(classes[(q + e * w) % p] for q, w in pairs)
-        digits = _ROW_DIGITS[:1]
-    else:
-        e4 = e * pow(4, -1, p) % p
-        half = bytes(classes[((q + e4) ** 2 - ry) % p] for q, ry in pairs)
-        digits = _ROW_DIGITS
+        return _even_rows(half, 1)
+    e4 = e * pow(4, -1, p) % p
+    return _even_rows(bytes(classes[((q + e4) ** 2 - ry) % p] for q, ry in pairs), 3)
+
+
+# The square rows: at most _SQUARE_ROW_SETS (p, k) entries of three p-bit rows
+# (p = 1 mod 3), whatever the prime cap; ~0.5 KB an entry near p = 499, so
+# ~2 MB when full.
+_SQUARE_ROW_SETS = 4096
+
+
+@functools.lru_cache(maxsize=_SQUARE_ROW_SETS)
+def _square_rows(p: int, k: int) -> Tuple[int, ...]:
+    """Bit w of row i is set when w^2 + k has cube class i (p = 1 mod 3).
+
+    g(u) = u^2 + a u + b = (u + h)^2 + k with h = a/2 and k = b - h^2, so the
+    u where g(u) has class i are row i shifted down by h.
+    """
+    cls = _cube_classes(p).cls
+    return _even_rows(bytes(cls[(w * w + k) % p] for w in range((p + 1) // 2)), 3)
+
+
+def _even_rows(half: bytes, count: int) -> Tuple[int, ...]:
+    """Rows 0..count-1 of a class table even in y, given at y = 0..(p-1)/2."""
     text = half[1:] + half[::-1]  # the classes of y = p - 1 down to 0, high bit first
-    return tuple(int(text.translate(d), 2) for d in digits)
+    return tuple(_bits(text, c) for c in range(count))
 
 
 def _from_power_sums(s: Sequence[int], p: int, genus: int) -> Tuple[int, ...]:
@@ -399,14 +428,7 @@ def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int
     #E(F_p) = p + 1 + Tr(S_E), checked against n_e.  (Ireland-Rosen, ch. 8
     and 10, count y^m = f(x) by such character sums.)
     """
-    cls = _cube_classes(p).cls
-    roots = _square_root_counts(p)
-    n_c = [0, 0, 0, 0]
-    n_e_cls = [0, 0, 0, 0]
-    for u in range(p):
-        i = cls[(u * (u + a) + b) % p]
-        n_c[i] += roots[u]
-        n_e_cls[i] += 1
+    n_e_cls, n_c = _class_counts(p, a, b)
     # S = n_0 + n_1 w + n_2 w^2 = (n_0 - n_2) + (n_1 - n_2) w, since w^2 = -1 - w
     e0, e1 = n_e_cls[0] - n_e_cls[2], n_e_cls[1] - n_e_cls[2]
     if p + 1 + 2 * e0 - e1 != n_e:
@@ -422,6 +444,27 @@ def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int
         raise WeilBoundViolation(f"p*d1^2 not divisible by N(d1) = {norm} at p={p}")
     d2 = (p * sq[0] // norm, p * sq[1] // norm)
     return [y - 2 * x, 2 * (sq[0] - 2 * d2[0]) - (sq[1] - 2 * d2[1])]
+
+
+def _class_counts(p: int, a: int, b: int) -> Tuple[List[int], List[int]]:
+    """(n_e, n_c) at p = 1 mod 3: n_e[i] counts the u in F_p and n_c[i] the x in
+    F_p where g(u), f(x) = g(x^2) have cube class i (3 for zero).
+
+    With h = a/2, the rows of k = b - h^2 give n_e[i] = popcount(row_i); the
+    nonzero squares u weigh 2 each and sit on row_i & (squares >> (p - h)),
+    and u = 0 adds 1 at the class of g(0) = b.  Class 3 is what the others
+    leave of p.
+    """
+    _, cls, _, squares, _ = _cube_classes(p)
+    h = a * (p + 1) // 2 % p
+    rows = _square_rows(p, (b - h * h) % p)
+    shifted = squares >> (p - h)  # bit w: w - h is a nonzero square
+    n_e = [row.bit_count() for row in rows]
+    n_c = [2 * (row & shifted).bit_count() for row in rows]
+    n_c[cls[b]] += 1  # u = 0, where g(0) = b != 0
+    n_e.append(p - sum(n_e))
+    n_c.append(p - sum(n_c))
+    return n_e, n_c
 
 
 def prym_order(c: Curve, p: int) -> PrymCount:

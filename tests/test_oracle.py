@@ -328,8 +328,14 @@ def test_per_prime_tables_built_once_and_bounded(monkeypatch):
         assert [type(t) for t in (r, spread, units, pairs, classes)] == [int, int, tuple, tuple, bytes]
         assert {type(u) for u in units + pairs} == {tuple}
     assert [type(t) for t in (roots, cubes.cls, cubes.n3)] == [bytes] * 3
-    assert type(cubes.cubes) is tuple
+    assert [type(t) for t in (cubes.squares, cubes.cubes)] == [int, int]
+    # the bitsets: the nonzero squares doubled (X | X << p), the nonzero cubes
+    squares = sum(1 << v for v in range(1, 13) if pow(v, 6, 13) == 1)
+    assert cubes.squares == squares | squares << 13
+    assert cubes.cubes == sum(1 << v for v in range(1, 13) if pow(v, 4, 13) == 1)
     assert oracle._square_root_counts(13) is roots and oracle._cube_classes(13) is cubes
+    assert oracle._cube_classes(13).squares is cubes.squares
+    assert oracle._cube_classes(13).cubes is cubes.cubes
     for table in (oracle._square_root_counts, oracle._cube_classes, oracle._quadratic_tables):
         info = table.cache_info()
         assert info.hits > 0 and info.maxsize is not None and 0 < info.maxsize <= 64
@@ -353,6 +359,24 @@ def test_per_prime_tables_built_once_and_bounded(monkeypatch):
         assert all(type(row) is int for row in seen[0])
     info = cube_rows.cache_info()
     assert info.maxsize is not None and 0 < info.maxsize <= 8192
+    # the square rows depend on (p, k), k = b - (a/2)^2, alone: C(0, 4) and C(2, 5)
+    # share k = 4 at p = 13 and read the same three rows
+    square_rows, read_squares = oracle._square_rows, {}
+
+    def reading_squares(p, k):
+        rows = square_rows(p, k)
+        read_squares.setdefault((p, k), []).append(rows)
+        return rows
+
+    monkeypatch.setattr(oracle, "_square_rows", reading_squares)
+    for a, b in ((0, 4), (2, 5)):
+        prym_order(_c(a, b), 13)
+    assert list(read_squares) == [(13, 4)] and len(read_squares[13, 4]) >= 2
+    first = read_squares[13, 4][0]
+    assert all(rows is first for rows in read_squares[13, 4])
+    assert type(first) is tuple and [type(row) for row in first] == [int] * 3
+    info = square_rows.cache_info()
+    assert info.maxsize is not None and 0 < info.maxsize <= 4096
     # warm tables lift no cap: 61 is refused at every public entry, also with its
     # own tables built
     c = _c(-5, 4)
