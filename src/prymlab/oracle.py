@@ -10,8 +10,8 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
 * L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
 * The Prym quartic L_P from its power sums s_1, s_2, and L_C = L_E * L_P as
-  a product (Jac(C) ~ E x P).  At p = 1 mod 3 the s_k(P) come from one O(p)
-  pass of cubic character sums over F_p, with no extension field (see
+  a product (Jac(C) ~ E x P).  At p = 1 mod 3 the s_k(P) come from cubic
+  character sums over F_p, with no extension field (see
   `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when the
   character sum d1 vanishes, s_k(P) = s_k(C) - s_k(E) is read off N_1,
   #E(F_p) and the F_{p^2} count N_2.  L_P(1) = #P(F_p), which every
@@ -25,8 +25,11 @@ non-square (k = 2) or non-cube (k = 3), and every table is indexed by F_p: at
 p = 1 mod 3, v is a cube iff N(v) is a cube of F_p (Hasse-Davenport); at
 p = 2 mod 3 (k = 2 only), F_p^* lies in the cubes and v is a cube iff its line
 v0 / v1 is that of some (s + z)^3.  Frobenius multiplies z by a root of
-unity, so each Frobenius orbit of u is summed once.  N_1 costs O(p) steps
-and N_3 O(p^3).  N_2 costs (p - 1)/2 steps of one AND and one popcount of
+unity, so each Frobenius orbit of u is summed once.  At p = 1 mod 3 every
+sum over F_p (N_1, #E(F_p), the character sums, the F_p part of N_2) is a
+few ANDs and popcounts of p-bit ints against cached square rows of (p, k),
+g(u) = (u + a/2)^2 + k, and per-prime bitsets (`_class_counts`).  N_3 costs
+O(p^3) steps.  N_2 costs (p - 1)/2 steps of one AND and one popcount of
 p-bit ints: off F_p, whether g(u) is a cube depends on the curve only through
 E = 4r + (4b - a^2)/u1^2 and a shift, so the cube test is a per-prime row of
 E, cached (`_count_quadratic`).  A count whose rows are all new also builds
@@ -34,14 +37,16 @@ its (p - 1)/2 rows, (p + 1)/2 steps each.  A naive double loop over (x, y) is
 kept as a second, independent counter for small p.
 
 Everything past the curve's reduction mod p is integer arithmetic.  The
-tables that depend on p alone (square-root counts, cube classes, the F_{p^2}
-lines and inverses) and the cube rows, which depend on (p, E), are built on
-first use, kept as immutable bytes, tuples and ints, and shared by every curve
-counted at p: a scan asks for the same few primes on every record.  The table
-caches hold the last 64 primes, each table O(p) entries; the row cache holds
-the last 8192 (p, E) entries of one or three p-bit rows, whatever the prime
-cap, at most ~4 MB at the default cap of 499.  Every count checks p before it
-reads a table.
+tables that depend on p alone (square-root counts, cube classes, the bitsets
+of the nonzero squares and cubes, the F_{p^2} lines and inverses), the cube
+rows, which depend on (p, E), and the square rows, which depend on (p, k), are
+built on first use, kept as immutable bytes, tuples and ints, and shared by
+every curve counted at p: a scan asks for the same few primes on every record.
+The table caches hold the last 64 primes, each table O(p) entries.  Whatever
+the prime cap, the cube-row cache holds the last 8192 (p, E) entries of one
+or three p-bit rows, at most ~4 MB at the default cap of 499, and the
+square-row cache the last 4096 (p, k) entries of three p-bit rows, at most
+~2 MB.  Every count checks p before it reads a table.
 
 Primes are checked in one place, `_require_good`: p must be an int prime >= 5,
 prime to 6*Delta (to 6 num(c) den(c) in `count_points_E`) and at most
@@ -142,10 +147,11 @@ def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3.
 
-    Pure Python.  N_1 costs O(p) steps and N_3 O(p^3), with O(p) memory.  N_2
-    costs (p - 1)/2 steps of an AND and a popcount of p-bit ints, plus
-    O(p^2) steps when the cube rows it reads at p are new; the row cache is
-    bounded by `_ROW_SETS` entries (~4 MB at the default cap).
+    Pure Python.  At p = 1 mod 3, N_1 is a few popcounts of p-bit ints
+    (`_class_counts`), and N_3 costs O(p^3) steps with O(p) memory.  N_2
+    costs (p - 1)/2 steps of an AND and a popcount of p-bit ints, plus O(p^2)
+    steps when the cube rows it reads at p are new.  A new row costs O(p)
+    steps; the row caches are bounded (~4 MB and ~2 MB at the default cap).
     """
     if k not in (1, 2, 3):
         raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
@@ -232,7 +238,9 @@ def count_points_C_naive(c: Curve, p: int) -> int:
 
 
 def count_points_E(e: EllipticModel, p: int) -> int:
-    """#E(F_p) for y^2 = x^3 + c, including infinity, by quadratic characters."""
+    """#E(F_p) for y^2 = x^3 + c, including infinity, by quadratic characters:
+    at p = 1 mod 3 one AND and one popcount of the per-prime bitsets of the
+    nonzero cubes and the nonzero squares shifted by c."""
     num, den = e.c.numerator, e.c.denominator
     _require_good(p, 6 * num * den, _prime_cap(), "6 num(c) den(c) in y^2 = x^3 + c")
     c = num * pow(den, -1, p) % p
@@ -424,9 +432,10 @@ def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int
     has trace -d1, d1 = S_C - S_E, and determinant d2; the complex
     conjugates of its eigenvalues are p over them, so conj(d1) = p d1 / d2 and
     d2 = p d1^2 / N(d1).  Then s_1 = -Tr(d1) and s_2 = Tr(d1^2 - 2 d2) with
-    Tr(x + y w) = 2x - y.  d1 = 0 leaves d2 open.  The same pass gives
-    #E(F_p) = p + 1 + Tr(S_E), checked against n_e.  (Ireland-Rosen, ch. 8
-    and 10, count y^m = f(x) by such character sums.)
+    Tr(x + y w) = 2x - y.  d1 = 0 leaves d2 open.  The class counts behind
+    S_E and S_C are popcounts of the square rows (`_class_counts`).  They
+    also give #E(F_p) = p + 1 + Tr(S_E), checked against n_e.
+    (Ireland-Rosen, ch. 8 and 10, count y^m = f(x) by such character sums.)
     """
     n_e_cls, n_c = _class_counts(p, a, b)
     # S = n_0 + n_1 w + n_2 w^2 = (n_0 - n_2) + (n_1 - n_2) w, since w^2 = -1 - w
@@ -470,8 +479,8 @@ def _class_counts(p: int, a: int, b: int) -> Tuple[List[int], List[int]]:
 def prym_order(c: Curve, p: int) -> PrymCount:
     """#P(F_p) = L_P(1) from the power sums s_k(P), k = 1, 2, and L_C = L_E * L_P.
 
-    At p = 1 mod 3 the s_k(P) come from one O(p) pass of cubic character sums
-    over F_p.  At p = 2 mod 3, and when that pass finds d1 = 0, they are
+    At p = 1 mod 3 the s_k(P) come from cubic character sums over F_p, read
+    off cached square rows.  At p = 2 mod 3, and when that pass finds d1 = 0, they are
     s_k(P) = s_k(C) - s_k(E), read off N_1, #E(F_p) and the F_{p^2} sweep
     N_2 = count_points_C(m, p, 2).
     """
