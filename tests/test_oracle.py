@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from prymlab import oracle, records
-from prymlab.curves import EllipticModel, elliptic_quotients, new_curve, sextic_twist
+from prymlab.curves import EllipticModel, elliptic_quotients, integral_model, new_curve, sextic_twist
 from prymlab.errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from prymlab.factorization import primes_from
 from prymlab.oracle import (
@@ -169,10 +169,10 @@ def test_extension_counts_pinned():
 _PINNED_PRYM_ORDERS = "5f34d064502eb2bcb48f6d0ccd0f0920d4ba71e84c22cb9997462509bd3b6dbd"
 
 
-def test_prym_order_pinned(sweeps):
-    # every good p <= 199 on 40 curves: a = 0 (d1 = 0 at every p = 7 mod 12, so
-    # the F_{p^2} fallback runs), rational a and b, CM j = 1, -1, -27, and
-    # seeded integer pairs
+def _pinned_curves_and_primes():
+    """(curve, p) at every good p <= 199 of 40 curves: a = 0 (d1 = 0 at every
+    p = 7 mod 12, so the F_{p^2} fallback runs), rational a and b, CM j = 1,
+    -1, -27, and seeded integer pairs."""
     rng = random.Random(14)
     curves = [(0, 7), (0, -12), (0, 25), (Fraction(1, 2), 3), (Fraction(-3, 4), Fraction(5, 9)),
               (Fraction(2, 3), Fraction(-1, 8)), (4, 2), (28, 7)]
@@ -180,16 +180,29 @@ def test_prym_order_pinned(sweeps):
         a, b = rng.randint(-40, 40), rng.randint(-40, 40)
         if b != 0 and a * a != 4 * b:
             curves.append((a, b))
-    rows = []
     for a, b in curves:
         c = _c(a, b)
         for p in good_primes(c, 46):
             if p <= 199:
-                pc = prym_order(c, p)
-                rows.append([p, list(pc.l_c.coeffs), list(pc.l_e.coeffs), list(pc.l_p), pc.order])
+                yield c, p
+
+
+def test_prym_order_pinned(sweeps):
+    rows = []
+    for c, p in _pinned_curves_and_primes():
+        pc = prym_order(c, p)
+        rows.append([p, list(pc.l_c.coeffs), list(pc.l_e.coeffs), list(pc.l_p), pc.order])
     assert len(rows) == 1700
     assert (7, 2) in sweeps and (19, 2) in sweeps  # the d1 = 0 fallback ran
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_PRYM_ORDERS
+
+
+def test_prym_order_e_count_matches_the_quotient():
+    # #E(F_p) inside prym_order against count_points_E of the Fraction-built
+    # quotient E: y^2 = x^3 + 16(a^2 - 4b) of the integral model
+    for c, p in _pinned_curves_and_primes():
+        e = elliptic_quotients(integral_model(c))[0]
+        assert prym_order(c, p).l_e.coeffs[1] == count_points_E(e, p) - p - 1, (c, p)
 
 
 def test_oracle_runs_without_numpy():
