@@ -64,7 +64,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .curves import Curve, EllipticModel, elliptic_quotients, integral_model
+from .curves import Curve, EllipticModel, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from .factorization import is_prime, primes_from
 
@@ -238,12 +238,17 @@ def count_points_C_naive(c: Curve, p: int) -> int:
 
 
 def count_points_E(e: EllipticModel, p: int) -> int:
-    """#E(F_p) for y^2 = x^3 + c, including infinity, by quadratic characters:
-    at p = 1 mod 3 one AND and one popcount of the per-prime bitsets of the
-    nonzero cubes and the nonzero squares shifted by c."""
+    """#E(F_p) for y^2 = x^3 + c, including infinity: p checked against
+    6 num(c) den(c), c reduced mod p, then the kernel `_count_E`."""
     num, den = e.c.numerator, e.c.denominator
     _require_good(p, 6 * num * den, _prime_cap(), "6 num(c) den(c) in y^2 = x^3 + c")
-    c = num * pow(den, -1, p) % p
+    return _count_E(p, num * pow(den, -1, p) % p)
+
+
+def _count_E(p: int, c: int) -> int:
+    """#E(F_p) for y^2 = x^3 + c, c a nonzero residue mod a checked p, by quadratic
+    characters: at p = 1 mod 3 one AND and one popcount of the per-prime bitsets
+    of the nonzero cubes and the nonzero squares shifted by c."""
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
     _, cls, _, squares, cubes = _cube_classes(p)
@@ -486,10 +491,12 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     """
     m = integral_model(c)
     _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
-    n_e = count_points_E(elliptic_quotients(m)[0], p)
+    a, b = m.a.numerator % p, m.b.numerator % p
+    # E: y^2 = x^3 + 16(a^2 - 4b); p is good for E, as 6c | 6*Delta = 6c b
+    n_e = _count_E(p, 16 * (a * a - 4 * b) % p)
     l_e = LPolynomial(p, 1, _from_power_sums([p + 1 - n_e], p, 1))
     e1 = l_e.coeffs[1]  # -s_1(E)
-    s = _character_power_sums(p, m.a.numerator % p, m.b.numerator % p, n_e) if p % 3 == 1 else None
+    s = _character_power_sums(p, a, b, n_e) if p % 3 == 1 else None
     if s is None:
         # s_2(E) = s_1(E)^2 - 2p: the two roots of L_E multiply to p
         s = [p + 1 - count_points_C(m, p, 1) + e1,

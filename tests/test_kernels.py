@@ -172,31 +172,6 @@ def test_is_nth_power_matches_fraction_reference():
 
 # -- Fraction constructions per record ------------------------------------------
 
-@pytest.fixture
-def fraction_constructions(monkeypatch):
-    """A list whose length counts the Fractions built since the fixture started.
-
-    Python 3.12+ builds arithmetic results with `Fraction._from_coprime_ints`,
-    which bypasses `__new__`; both are rebound where they exist.
-    """
-    built = []
-    original_new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(None)
-        return original_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    coprime = vars(Fraction).get("_from_coprime_ints")
-    if coprime is not None:
-        def counting_coprime(cls, numerator, denominator):
-            built.append(None)
-            return coprime.__func__(cls, numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    return built
-
-
 def test_plain_integral_record_builds_few_fractions(fraction_constructions):
     # the Fraction formulas built 117 for C(3, 4) and about 100 per box record;
     # the integer kernels build 11 and 7.7

@@ -717,3 +717,36 @@ def test_character_route_cross_checks_e_count():
     assert oracle._character_power_sums(13, 3, 4, n_e) is not None
     with pytest.raises(InternalInconsistency, match="cubic character sum gives"):
         oracle._character_power_sums(13, 3, 4, n_e + 1)
+
+
+def test_prym_order_checks_p_once_and_builds_no_fraction(monkeypatch, fraction_constructions):
+    # E's constant comes from the model's integers: one check of p and no
+    # Fraction; at p = 197 (2 mod 3) each fallback count_points_C checks p again
+    real = oracle._require_good
+    checks = []
+
+    def counting(p, bad, cap, what):
+        checks.append(p)
+        real(p, bad, cap, what)
+
+    monkeypatch.setattr(oracle, "_require_good", counting)
+    m = integral_model(_c(3, 4))
+    for p, want in ((13, 1), (199, 1), (197, 3)):
+        del checks[:], fraction_constructions[:]
+        prym_order(m, p)
+        assert checks == [p] * want, p
+        assert fraction_constructions == [], p
+
+
+def test_prym_order_checks_its_e_count(monkeypatch):
+    # a wrong #E(F_p) from the kernel is caught: outside the Hasse interval by
+    # the Newton/Weil check, inside it by the character pass's own #E
+    real = oracle._count_E
+    c = _c(3, 4)
+    monkeypatch.setattr(oracle, "_count_E", lambda p, e: 2 * (p + 1))  # a_p = -(p + 1)
+    for p in (13, 197):
+        with pytest.raises(WeilBoundViolation, match=f"exceeds 2g\\*sqrt\\(p\\) at p={p}$"):
+            prym_order(c, p)
+    monkeypatch.setattr(oracle, "_count_E", lambda p, e: real(p, e) + 3)
+    with pytest.raises(InternalInconsistency, match="cubic character sum gives"):
+        prym_order(c, 13)
