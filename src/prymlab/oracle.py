@@ -51,7 +51,11 @@ square-row cache the last 4096 (p, k) entries of three p-bit rows, at most
 Primes are checked in one place, `_require_good`: p must be an int prime >= 5,
 prime to 6*Delta (to 6 num(c) den(c) in `count_points_E`) and at most
 PRYMLAB_PRIME_CAP (default 499, read at each call), else BadPrime.  Every
-public entry that takes a p checks it.  A prime list is read once, by
+public entry that takes a p checks it.  `prym_order` checks its p once: it
+reads E's constant c = 16(a^2 - 4b) off the integral model's integers and
+counts E with the kernel `_count_E` that `count_points_E` runs after its own
+check, since 6c = 96(a^2 - 4b) divides 6*Delta = 96 b (a^2 - 4b); only its
+fallback's `count_points_C` calls check p again.  A prime list is read once, by
 `require_good_primes`, into the tuple its callers iterate, each prime checked
 in list order before any count.
 """
@@ -484,8 +488,11 @@ def _class_counts(p: int, a: int, b: int) -> Tuple[List[int], List[int]]:
 def prym_order(c: Curve, p: int) -> PrymCount:
     """#P(F_p) = L_P(1) from the power sums s_k(P), k = 1, 2, and L_C = L_E * L_P.
 
-    At p = 1 mod 3 the s_k(P) come from cubic character sums over F_p, read
-    off cached square rows.  At p = 2 mod 3, and when that pass finds d1 = 0, they are
+    p is checked once, against 6*Delta, and the model reduced once; #E(F_p)
+    for E: y^2 = x^3 + 16(a^2 - 4b) is counted from those residues by
+    `_count_E`, with no quotient curve built.  At p = 1 mod 3 the s_k(P) come
+    from cubic character sums over F_p, read off cached square rows.  At
+    p = 2 mod 3, and when that pass finds d1 = 0, they are
     s_k(P) = s_k(C) - s_k(E), read off N_1, #E(F_p) and the F_{p^2} sweep
     N_2 = count_points_C(m, p, 2).
     """
