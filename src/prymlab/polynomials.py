@@ -3,9 +3,10 @@
 Coefficients are stored lowest degree first.  Everything here serves quartics
 (x^4 + a x^2 + b and its dual) and the degree-4 lifting polynomial, so the
 representation stays dense.  The root finder factors nothing: it brackets the
-real roots of a monic rescaling by exact integer bisection and checks each
-candidate by exact evaluation, so its cost grows with the digits of the
-coefficients, not with how many divisors they have.
+real roots of a monic rescaling by exact integer bisection inside Fujiwara's
+root bound and checks each candidate by exact evaluation, so its cost grows
+with the digits of the coefficients over the degree, not with how many
+divisors they have.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Set, Tuple
 
-from .rationals import RationalLike, is_nth_power
+from .rationals import RationalLike, integer_nth_root, is_nth_power
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ def rational_roots(p: IntPolynomial) -> Set[Fraction]:
     l the leading coefficient of the rest (degree n), the rational roots are
     y/l for the integer roots y of the monic q(y) = l^(n-1) p(y/l), because a
     root u/v in lowest terms has v | l.  Those integer roots are among the
-    floors of q's real roots, which lie inside its Cauchy bound and, by
+    floors of q's real roots, which lie inside its Fujiwara bound and, by
     Gauss-Lucas, so do the real roots of all of its derivatives.
     """
     if not p.coeffs:
@@ -57,9 +58,22 @@ def rational_roots(p: IntPolynomial) -> Set[Fraction]:
     coeffs, roots = p.coeffs[k:], ({Fraction(0)} if k else set())
     n, lead = len(coeffs) - 1, coeffs[-1]
     q = IntPolynomial(tuple(c * lead ** (n - 1 - i) for i, c in enumerate(coeffs[:-1])) + (1,))
-    bound = 1 + max((abs(c) for c in q.coeffs[:-1]), default=0)  # Cauchy
-    roots.update(Fraction(y, lead) for y in _real_root_brackets(q, bound) if q(y) == 0)
+    roots.update(Fraction(y, lead) for y in _real_root_brackets(q, _root_bound(q)) if q(y) == 0)
     return roots
+
+
+def _root_bound(q: IntPolynomial) -> int:
+    # Fujiwara: every complex root of the monic q = y^n + c_{n-1} y^(n-1) + ...
+    # + c_0 has modulus at most 2 max(|c_{n-i}|^(1/i), |c_0 / 2|^(1/n)), i < n;
+    # with integer ceilings of those roots, 1 more is a strict bound
+    n = q.degree
+    return 1 + 2 * max((_ceil_root((abs(c) + 1) // 2 if i == 0 else abs(c), n - i)
+                        for i, c in enumerate(q.coeffs[:-1])), default=0)
+
+
+def _ceil_root(m: int, k: int) -> int:
+    # the least c >= 0 with c^k >= m
+    return integer_nth_root(m - 1, k) + 1 if m else 0
 
 
 def _real_root_brackets(q: IntPolynomial, bound: int) -> List[int]:

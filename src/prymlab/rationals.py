@@ -8,29 +8,40 @@ floats appear anywhere.
 
 The nth-power test never factors: a reduced fraction is an nth power iff
 numerator and denominator separately are, and those are settled by an integer
-nth root (``math.isqrt`` for squares, binary search otherwise).
+nth root (``math.isqrt`` for squares, Newton's iteration in integers
+otherwise, O(log digits) steps).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
 RationalLike = Union[Fraction, int]
 
 
-_WIRE_RE = re.compile(r"[+-]?\d+(?:/(\d+))?")
+_WIRE_RE = re.compile(r"[+-]?(\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (base 10) into an exact rational."""
+    """Parse "p/q" or "p" (base 10) into an exact rational.
+
+    A numerator or denominator longer than Python's limit for integer string
+    conversion (``sys.get_int_max_str_digits()``, leading zeros counted) is
+    refused with a message of its own rather than Python's.
+    """
     body = text.strip()
     m = _WIRE_RE.fullmatch(body)
     if m is None:
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    if m.group(1) is not None and int(m.group(1)) == 0:
+    digits = max(len(m.group(1)), len(m.group(2) or ""))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
+    if limit and digits > limit:
+        raise ValueError(f"a {digits}-digit number exceeds the {limit}-digit limit")
+    if m.group(2) is not None and int(m.group(2)) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(body)
 
@@ -41,22 +52,28 @@ def format_rational(q: RationalLike) -> str:
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """Floor of the kth root of n >= 0, by binary search (no floats)."""
+    """Floor of the kth root of n >= 0, by Newton's iteration in integers.
+
+    The start 2^ceil(bits/k) lies above the root.  From any x above the floor
+    r of the root, y = ((k - 1) x + n // x^(k-1)) // k satisfies r <= y < x
+    (the arithmetic-geometric mean inequality), so the steps fall to r, and
+    the first step that does not fall marks it.  The start overshoots the
+    root by less than a factor 2^(1 + 1/k), which each step shrinks by about
+    1 - 1/k until the quadratic convergence of Newton's method takes over:
+    O(k + log bits) steps.
+    """
     if n < 0 or k < 1:
         raise ValueError(f"integer_nth_root needs n >= 0 and k >= 1, got n = {n}, k = {k}")
     if n < 2 or k == 1:
         return n
     if k == 2:
         return math.isqrt(n)
-    hi = 1 << (n.bit_length() // k + 1)   # hi^k > n
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def is_nth_power(q: RationalLike, n: int) -> Optional[Fraction]:
