@@ -9,7 +9,7 @@ floats appear anywhere.
 The nth-power test never factors: a reduced fraction is an nth power iff
 numerator and denominator separately are, and those are settled by an integer
 nth root (``math.isqrt`` for squares, Newton's iteration in integers
-otherwise, O(log digits) steps).
+otherwise).
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def integer_nth_root(n: int, k: int) -> int:
     r of the root, y = ((k - 1) x + n // x^(k-1)) // k satisfies r <= y < x
     (the arithmetic-geometric mean inequality), so the steps fall to r, and
     the first step that does not fall marks it.  The start overshoots the
-    root by less than a factor 2^(1 + 1/k), which each step shrinks by about
-    1 - 1/k until the quadratic convergence of Newton's method takes over:
-    O(k + log bits) steps.
+    root by at most a factor 2, which each step shrinks by about 1 - 1/k
+    until the quadratic convergence of Newton's method takes over: O(k + log
+    bits) steps.
     """
     if n < 0 or k < 1:
         raise ValueError(f"integer_nth_root needs n >= 0 and k >= 1, got n = {n}, k = {k}")

@@ -9,6 +9,8 @@ text for a usage error, which leaves through ``SystemExit(1)``.
 
 import multiprocessing
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -168,3 +170,21 @@ def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_pool):
     for argv, message in _seeded_repeats(seed=12, n=20):
         code, out, err = _run_case(capsys, tmp_path, argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "3" * 5000, "1", "--json"],
+     r"error: a 5000-digit number exceeds the 4300-digit limit"),
+    (["family", "instantiate", "Z6_case3", "--param", "t=1/" + "9" * 4400],
+     r"error: a 4400-digit number exceeds the 4300-digit limit"),
+    (["dual", "3", "1/" + "0" * 4999 + "7"],
+     r"error: a 5000-digit number exceeds the 4300-digit limit"),
+    # parses, then fails formatting Delta, which has more than 4300 digits
+    (["classify", "3" * 4000, "1", "--json"],
+     r"error: Exceeds the limit \(4300 digits\) for integer string conversion.*"),
+])
+def test_hostile_argv_digit_limit(capsys, tmp_path, no_pool, argv, message):
+    assert sys.get_int_max_str_digits() == 4300  # Python's default
+    code, out, err = _run_case(capsys, tmp_path, argv)
+    assert (code, out) == (1, "") and _refused(out, err), (code, err)
+    assert err.count("\n") == 1 and re.fullmatch(message, err.rstrip("\n")), err

@@ -1,6 +1,6 @@
 """Lint of the package source by its syntax tree: no unused import, no dead
-private function or class, and an export list that is exactly what the package
-imports."""
+private function or class, an export list that is exactly what the package
+imports, and no floating point."""
 
 import ast
 from pathlib import Path
@@ -72,3 +72,26 @@ def test_exports_are_exactly_the_imports():
     assert len(exported) >= 60
     assert exported == sorted(set(exported))
     assert sorted(imported) == exported
+
+
+_FLOAT_MATH = {"sqrt", "log", "log2", "exp", "pow", "floor", "ceil"}
+
+
+def test_package_is_float_free():
+    # no float literal, no float(...) and no math function that returns or
+    # rounds a float: every number the package computes is exact
+    found = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{name}.py:{node.lineno} literal {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "float":
+                found.append(f"{name}.py:{node.lineno} float(...)")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "math" and node.attr in _FLOAT_MATH:
+                found.append(f"{name}.py:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{name}.py:{node.lineno} from math import {alias.name}"
+                          for alias in node.names if alias.name in _FLOAT_MATH | {"*"}]
+    assert found == []

@@ -31,6 +31,19 @@ def test_parse_rejects_garbage():
             parse_rational(bad)
 
 
+def test_parse_refuses_numbers_past_the_digit_limit():
+    # its own message, not Python's advice to raise sys.set_int_max_str_digits
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("-" + "7" * limit) == -int("7" * limit)
+    assert parse_rational("1/" + "0" * (limit - 1) + "3") == Fraction(1, 3)
+    for text in ("7" * (limit + 1), "-" + "0" * limit + "1", "1/" + "3" * (limit + 700),
+                 "0" * 5000 + "/0"):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        digits = max(len(part.lstrip("-")) for part in text.split("/"))
+        assert str(info.value) == f"a {digits}-digit number exceeds the {limit}-digit limit"
+
+
 def test_format_round_trip():
     rng = random.Random(11)
     for _ in range(200):
@@ -53,6 +66,37 @@ def test_integer_nth_root_exact_and_floor():
         assert integer_nth_root(n, k) == r
         if n > 0:
             assert integer_nth_root(n - 1, k) == r - 1
+
+
+def _bisect_root(n, k):
+    # the binary search integer_nth_root ran before Newton's iteration, kept
+    # as the reference: floor of the kth root of n >= 0
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)  # hi^k > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+    return lo
+
+
+def test_integer_nth_root_matches_binary_search():
+    # n from 0 to ~4000 bits, exact kth powers and their neighbours, k 1..40
+    rng = random.Random(2116)
+    for _ in range(300):
+        k = rng.randint(1, 40)
+        bits = rng.choice([rng.randint(0, 80), rng.randint(0, 4000)])
+        r = rng.getrandbits(max(1, bits // k))
+        cases = {rng.getrandbits(bits), r ** k, r ** k + 1, max(0, r ** k - 1), k, k - 1}
+        for n in cases:
+            assert integer_nth_root(n, k) == _bisect_root(n, k), (n, k)
+        assert integer_nth_root(r ** k, k) == r
+    for n in range(300):
+        for k in range(1, 41):
+            assert integer_nth_root(n, k) == _bisect_root(n, k), (n, k)
+    for _ in range(50):
+        n, k = -rng.randint(1, 2 ** rng.randint(1, 4000)), rng.randint(1, 40)
+        for bad in ((n, k), (rng.randint(0, 10 ** 9), -rng.randint(0, 40))):
+            with pytest.raises(ValueError, match="integer_nth_root needs n >= 0 and k >= 1"):
+                integer_nth_root(*bad)
 
 
 def test_integer_nth_root_argument_checks_under_O():
