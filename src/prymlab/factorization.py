@@ -3,10 +3,12 @@
 Pipeline: trial division, then a perfect-power check (r^e is factored as r)
 and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
 primality check that is deterministic for n < 3.3 * 10^24 (fixed witnesses).
-Trial division uses the 25 primes below 100 when they finish the job (n < 97^2,
-or n < 97^k when `power_primes` looks for p^k | n), and otherwise the primes
-below 10^6: an odd-only sieve (~3 MB), built the first time a number needs it,
-never at import.  So a box curve or a small denominator never builds it.
+Trial division runs over the 25 primes below 100, then over the primes from
+101 to 10^6 of an odd-only sieve (~3 MB).  The sieve is built the first time a
+loop gets past 97, never at import.  A loop stops at the first p with p^2
+(p^k when `power_primes` looks for p^k | n) above what is left, so it gets
+past 97 only when the primes below 97 leave 97^2 (97^k) or more: a box curve,
+or a denominator of any size whose primes are below 97, never builds it.
 
 Only denominators are factored in full: `curves.integral_model` finds the
 numerator primes it needs with `power_primes`, trial division up to the 12th
@@ -20,14 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
 from .rationals import integer_nth_root
 
 _SIEVE_LIMIT = 10 ** 6
 _small_primes: List[int] = []
 # Trial division stops at the first p with p^2 (power_primes: p^k) above what is
-# left, so for n < 97^k these primes finish it and the sieve is never built.
+# left, so when the primes below 97 leave less than 97^k these finish the job.
 _PRIMES_BELOW_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                      67, 71, 73, 79, 83, 89, 97)
 
@@ -47,9 +49,23 @@ def _sieve() -> List[int]:
     return _small_primes
 
 
-def _trial_primes(n: int, k: int) -> Sequence[int]:
-    # the primes to trial-divide n by, looking for p^k | n
-    return _PRIMES_BELOW_100 if n < 97 ** k else _sieve()
+class _SieveTail:
+    """The sieve's primes from 101 on; iterating it builds the sieve."""
+
+    def __iter__(self) -> Iterator[int]:
+        primes = iter(_sieve())
+        # a list iterator moved to 101: no copy, and no cost per prime as islice has
+        primes.__setstate__(len(_PRIMES_BELOW_100))
+        return primes
+
+
+_SIEVE_TAIL = _SieveTail()
+
+
+def _trial_primes() -> Iterator[int]:
+    # the primes below 10^6 in order, at C speed: chain iterates the tail, and
+    # so builds the sieve, only when a loop asks for a prime past 97
+    return itertools.chain(_PRIMES_BELOW_100, _SIEVE_TAIL)
 
 
 def is_prime(n: int) -> bool:
@@ -115,7 +131,7 @@ def factor_integer(n: int) -> Dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: Dict[int, int] = {}
-    for p in _trial_primes(n, 2):
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:
@@ -150,7 +166,7 @@ def power_primes(n: int, k: int) -> List[int]:
     if n == 0:
         raise ValueError("power_primes of 0")
     n, out = abs(n), []
-    for p in _trial_primes(n, k):
+    for p in _trial_primes():
         if p ** k > n:
             return out
         e = valuation(n, p)

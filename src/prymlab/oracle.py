@@ -5,7 +5,7 @@ rational criteria, only counts points mod p and reconstructs L-polynomials.
 
 For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
 
-* #C(F_{p^k}) for k = 1, 2, 3 in pure Python (below); when q = 2 mod 3
+* #C(F_{p^k}) for k = 1, 2 in pure Python (below); when q = 2 mod 3
   cubing is a bijection and the count is q + 1 with no enumeration.
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
 * L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
@@ -13,23 +13,23 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
   a product (Jac(C) ~ E x P).  At p = 1 mod 3 the s_k(P) come from cubic
   character sums over F_p, with no extension field (see
   `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when the
-  character sum d1 vanishes, s_k(P) = s_k(C) - s_k(E) is read off N_1,
-  #E(F_p) and the F_{p^2} count N_2.  L_P(1) = #P(F_p), which every
+  character sum d1 vanishes, s_1(P) = 0 and s_2(P) = s_2(C) - s_2(E) is
+  read off #E(F_p) and the F_{p^2} count N_2.  L_P(1) = #P(F_p), which every
   rational torsion subgroup divides (reduction is injective on prime-to-p
-  torsion, and p >= 5 > 3).  N_3 only serves the tests: its L_C is independent.
+  torsion, and p >= 5 > 3).  No record needs N_3; the tests count it with
+  their own tables (`tests/finitefields.py`), so its L_C is independent.
 
 Counting sums over u = x^2, not x: the affine count is sum_u (1 + psi(u))
 n3(g(u)), g(u) = u^2 + a u + b, psi the Legendre symbol of the norm N(u) and
-n3(v) the number of cube roots of v.  F_q = F_p(z) with z^k = r, the least
-non-square (k = 2) or non-cube (k = 3), and every table is indexed by F_p: at
-p = 1 mod 3, v is a cube iff N(v) is a cube of F_p (Hasse-Davenport); at
-p = 2 mod 3 (k = 2 only), F_p^* lies in the cubes and v is a cube iff its line
-v0 / v1 is that of some (s + z)^3.  Frobenius multiplies z by a root of
-unity, so each Frobenius orbit of u is summed once.  At p = 1 mod 3 every
-sum over F_p (N_1, #E(F_p), the character sums, the F_p part of N_2) is a
-few ANDs and popcounts of p-bit ints against cached square rows of (p, k),
-g(u) = (u + a/2)^2 + k, and per-prime bitsets (`_class_counts`).  N_3 costs
-O(p^3) steps.  N_2 costs (p - 1)/2 steps of one AND and one popcount of
+n3(v) the number of cube roots of v.  F_{p^2} = F_p(z) with z^2 = r, the
+least non-square, and every table is indexed by F_p: at p = 1 mod 3, v is a
+cube iff N(v) is a cube of F_p (Hasse-Davenport); at p = 2 mod 3, F_p^* lies
+in the cubes and v is a cube iff its line v0 / v1 is that of some (s + z)^3.
+Frobenius maps z to -z, so each conjugate pair of u is summed once.  At
+p = 1 mod 3 every sum over F_p (N_1, #E(F_p), the character sums, the F_p
+part of N_2) is a few ANDs and popcounts of p-bit ints against cached square
+rows of (p, k), g(u) = (u + a/2)^2 + k, and per-prime bitsets
+(`_class_counts`).  N_2 costs (p - 1)/2 steps of one AND and one popcount of
 p-bit ints: off F_p, whether g(u) is a cube depends on the curve only through
 E = 4r + (4b - a^2)/u1^2 and a shift, so the cube test is a per-prime row of
 E, cached (`_count_quadratic`).  A count whose rows are all new also builds
@@ -55,7 +55,7 @@ public entry that takes a p checks it.  `prym_order` checks its p once: it
 reads E's constant c = 16(a^2 - 4b) off the integral model's integers and
 counts E with the kernel `_count_E` that `count_points_E` runs after its own
 check, since 6c = 96(a^2 - 4b) divides 6*Delta = 96 b (a^2 - 4b); only its
-fallback's `count_points_C` calls check p again.  A prime list is read once, by
+fallback's `count_points_C` call checks p again.  A prime list is read once, by
 `require_good_primes`, into the tuple its callers iterate, each prime checked
 in list order before any count.
 """
@@ -149,16 +149,17 @@ def require_good_primes(c: Curve, primes: Iterable[int]) -> Tuple[int, ...]:
 
 
 def count_points_C(c: Curve, p: int, k: int = 1) -> int:
-    """#C(F_{p^k}) including the point at infinity; k is 1, 2 or 3.
+    """#C(F_{p^k}) including the point at infinity; k is 1 or 2.
 
     Pure Python.  At p = 1 mod 3, N_1 is a few popcounts of p-bit ints
-    (`_class_counts`), and N_3 costs O(p^3) steps with O(p) memory.  N_2
-    costs (p - 1)/2 steps of an AND and a popcount of p-bit ints, plus O(p^2)
-    steps when the cube rows it reads at p are new.  A new row costs O(p)
-    steps; the row caches are bounded (~4 MB and ~2 MB at the default cap).
+    (`_class_counts`).  N_2 costs (p - 1)/2 steps of an AND and a popcount of
+    p-bit ints, plus O(p^2) steps when the cube rows it reads at p are new.  A
+    new row costs O(p) steps; the row caches are bounded (~4 MB and ~2 MB at
+    the default cap).  `prym_order` needs no N_3: the brute-force N_3 the
+    tests check L_C with lives beside them, in `tests/finitefields.py`.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"count_points_C needs k in (1, 2, 3), got {k}")
+    if k not in (1, 2):
+        raise ValueError(f"count_points_C needs k in (1, 2), got {k}")
     m = integral_model(c)
     _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
     q = p ** k
@@ -167,11 +168,8 @@ def count_points_C(c: Curve, p: int, k: int = 1) -> int:
     a, b = m.a.numerator % p, m.b.numerator % p
     if k == 2:
         return _count_quadratic(p, a, b) + 1
-    if k == 1:
-        n_c = _class_counts(p, a, b)[1]
-        return 3 * n_c[0] + n_c[3] + 1  # n3 is 3 on the cubes, 1 at 0
-    tables = _cube_classes(p)  # v in F_q has n3[N(v)] cube roots
-    return _count_cubic(p, a, b, _square_root_counts(p), tables.r, tables.n3) + 1
+    n_c = _class_counts(p, a, b)[1]
+    return 3 * n_c[0] + n_c[3] + 1  # 3 roots on the nonzero cubes, 1 at 0
 
 
 def _count_quadratic(p: int, a: int, b: int) -> int:
@@ -189,8 +187,9 @@ def _count_quadratic(p: int, a: int, b: int) -> int:
         # n3 is 3 on F_p^* and 1 at 0; b != 0 and g has roots[a^2 - 4b] roots in F_p
         total = 3 + 2 * (3 * (p - 1) - 2 * _square_root_counts(p)[(a * a - 4 * b) % p])
     else:
-        # v in F_p has norm v^2, and n3[v^2] = n3[v]: u = 0 once, the other u twice
-        n3b, n_e = _cube_classes(p).n3[b], _class_counts(p, a, b)[0]
+        # v in F_p has norm v^2, and n3[v^2] = n3[v]: u = 0 once, the other u
+        # twice; b != 0 at a good p, so n3[b] is 3 on the cubes and 0 off them
+        n3b, n_e = 3 * (_cube_classes(p).cls[b] == 0), _class_counts(p, a, b)[0]
         total = n3b + 2 * (3 * n_e[0] + n_e[3] - n3b)
     r4, d, na = 4 * r % p, (4 * b - a * a) % p, -a % p
     cubes = zeros = 0
@@ -201,29 +200,6 @@ def _count_quadratic(p: int, a: int, b: int) -> int:
         if not e:
             zeros += shifted & 1
     return total + 4 * (3 * cubes + zeros)
-
-
-def _count_cubic(p: int, a: int, b: int, roots: bytes, r: int, n3: bytes) -> int:
-    """Affine count over F_{p^3} = F_p(z), z^3 = r (p = 1 mod 3)."""
-    w = pow(r, (p - 1) // 3, p)  # Frobenius: z -> w z, so (u1, u2) -> (w u1, w^2 u2)
-    reps = [x for x in range(1, p) if x < x * w % p and x < x * w * w % p]
-    total = 0
-    for u1 in [0] + reps:
-        for u2 in range(p) if u1 else [0] + reps:
-            # N(u) = u0^3 - m u0 + n, and g(u) = v0 + v1 z + v2 z^2
-            m, n = 3 * r * u1 * u2, r * u1 ** 3 + r * r * u2 ** 3
-            c0, c1, c2 = 2 * r * u1 * u2 + b, a * u1 + r * u2 * u2, u1 * u1 + a * u2
-            orbit = 0
-            for u0 in range(p):
-                weight = roots[(u0 * (u0 * u0 - m) + n) % p]
-                if weight:
-                    v0 = (u0 * (u0 + a) + c0) % p
-                    v1 = (2 * u0 * u1 + c1) % p
-                    v2 = (2 * u0 * u2 + c2) % p
-                    norm = v0 * (v0 * v0 - 3 * r * v1 * v2) + r * v1 ** 3 + r * r * v2 ** 3
-                    orbit += weight * n3[norm % p]
-            total += orbit if u1 == u2 == 0 else 3 * orbit
-    return total
 
 
 def count_points_C_naive(c: Curve, p: int) -> int:
@@ -255,7 +231,7 @@ def _count_E(p: int, c: int) -> int:
     of the nonzero cubes and the nonzero squares shifted by c."""
     if p % 3 == 2:
         return p + 1  # supersingular: x -> x^3 bijective, pairs cancel
-    _, cls, _, squares, cubes = _cube_classes(p)
+    cls, squares, cubes = _cube_classes(p)
     # x^3 is 0 once and each nonzero cube t three times; t + c is a nonzero
     # square on the bits of cubes & (squares >> c), and 0 at t = -c
     hits = 2 * (cubes & squares >> c).bit_count() + (cls[-c % p] == 0)
@@ -278,7 +254,6 @@ def _square_root_counts(p: int) -> bytes:
     return bytes(roots)
 
 
-_N3_BY_CLASS = bytes([3, 0, 0, 1]) + bytes(252)  # cube-root counts by class, for bytes.translate
 _ROW_DIGITS = tuple(b"0" * c + b"1" + b"0" * (255 - c) for c in range(3))  # byte c -> "1"
 
 
@@ -288,9 +263,7 @@ def _bits(text: bytes, c: int) -> int:
 
 
 class _CubeTables(NamedTuple):
-    r: int  # the least non-cube mod p
-    cls: bytes  # cls[v] = i for v in r^i (F_p^*)^3; cls[0] = 3 marks v = 0
-    n3: bytes  # n3[v] = the number of cube roots of v in F_p
+    cls: bytes  # cls[v] = i for v in r^i (F_p^*)^3, r the least non-cube; cls[0] = 3 marks v = 0
     squares: int  # X | X << p, X the p-bit set of the nonzero squares: >> s rotates by s
     cubes: int  # the p-bit set of the nonzero cubes
 
@@ -309,8 +282,7 @@ def _cube_classes(p: int) -> _CubeTables:
         cls[t * r % p] = 1
     cls = bytes(cls)
     squares = _bits(_square_root_counts(p)[::-1], 2)
-    return _CubeTables(r, cls, cls.translate(_N3_BY_CLASS), squares | squares << p,
-                       _bits(cls[::-1], 0))
+    return _CubeTables(cls, squares | squares << p, _bits(cls[::-1], 0))
 
 
 @functools.lru_cache(maxsize=_TABLE_PRIMES)
@@ -473,7 +445,7 @@ def _class_counts(p: int, a: int, b: int) -> Tuple[List[int], List[int]]:
     and u = 0 adds 1 at the class of g(0) = b.  Class 3 is what the others
     leave of p.
     """
-    _, cls, _, squares, _ = _cube_classes(p)
+    cls, squares, _ = _cube_classes(p)
     h = a * (p + 1) // 2 % p
     rows = _square_rows(p, (b - h * h) % p)
     shifted = squares >> (p - h)  # bit w: w - h is a nonzero square
@@ -492,9 +464,9 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     for E: y^2 = x^3 + 16(a^2 - 4b) is counted from those residues by
     `_count_E`, with no quotient curve built.  At p = 1 mod 3 the s_k(P) come
     from cubic character sums over F_p, read off cached square rows.  At
-    p = 2 mod 3, and when that pass finds d1 = 0, they are
-    s_k(P) = s_k(C) - s_k(E), read off N_1, #E(F_p) and the F_{p^2} sweep
-    N_2 = count_points_C(m, p, 2).
+    p = 2 mod 3, and when that pass finds d1 = 0, s_1(P) = 0 and
+    s_2(P) = s_2(C) - s_2(E) is read off #E(F_p) and the F_{p^2} sweep
+    N_2 = count_points_C(m, p, 2), the one count of C the fallback makes.
     """
     m = integral_model(c)
     _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
@@ -505,9 +477,11 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     e1 = l_e.coeffs[1]  # -s_1(E)
     s = _character_power_sums(p, a, b, n_e) if p % 3 == 1 else None
     if s is None:
-        # s_2(E) = s_1(E)^2 - 2p: the two roots of L_E multiply to p
-        s = [p + 1 - count_points_C(m, p, 1) + e1,
-             p * p + 1 - count_points_C(m, p, 2) - (e1 * e1 - 2 * p)]
+        # s_1(P) = 0, so N_1 is not counted: at p = 2 mod 3, N_1 = #E(F_p) =
+        # p + 1; at p = 1 mod 3 the pass found d1 = 0, and s_1(P) = -Tr(d1).
+        # s_2(P) = s_2(C) - s_2(E), s_2(E) = s_1(E)^2 - 2p: the two roots of
+        # L_E multiply to p
+        s = [0, p * p + 1 - count_points_C(m, p, 2) - (e1 * e1 - 2 * p)]
     l_p = _from_power_sums(s, p, 2)
     _, c1, c2, c3, c4 = l_p
     # L_C = (1 + e1 T + p T^2)(1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4)

@@ -47,8 +47,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: RationalLike) -> str:
-    """Render in the wire format "p/q", or "p" when the denominator is 1."""
-    return str(q if isinstance(q, Fraction) else Fraction(q))
+    """Render in the wire format "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator past Python's limit for integer string
+    conversion is refused with a message of its own rather than Python's.
+    """
+    try:
+        return str(q if isinstance(q, Fraction) else Fraction(q))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number in the result exceeds the {limit}-digit limit") from None
 
 
 def integer_nth_root(n: int, k: int) -> int:

@@ -12,6 +12,11 @@ The oracle's point counter does not use this module: its tables are indexed
 by F_p only.  The tests count points here element by element, with the field
 axioms, x^(q-1) = 1 and the Frobenius fixed field tested alongside, so the
 two counts are independent.
+
+`count_points_C3` is the tests' N_3 = #C(F_{p^3}), which the package does not
+count: the third power sum that checks L_C = L_E * L_P.  It reads F_{p^3}
+through norms to F_p, with tables of its own, and is itself checked against
+the tower.
 """
 
 from __future__ import annotations
@@ -42,6 +47,51 @@ def _has_root(low_coeffs: Tuple[int, ...], p: int, k: int) -> bool:
         if acc == 0:
             return True
     return False
+
+
+def count_points_C3(a: int, b: int, p: int) -> int:
+    """#C(F_{p^3}) for y^3 = x^4 + a x^2 + b, the point at infinity included;
+    a, b are the integers of an integral model and p a prime >= 5 of good
+    reduction.
+
+    Sums over u = x^2: the affine count is sum_u (1 + psi(u)) n3(g(u)),
+    g(u) = u^2 + a u + b.  In F_{p^3} = F_p(z), z^3 = r with r the least
+    non-cube, u has as many square roots as N(u) has in F_p, and g(u) as many
+    cube roots as N(g(u)) (v^((q-1)/m) = N(v)^((p-1)/m) for m | p - 1).
+    Frobenius sends z to w z, w = r^((p-1)/3), so (u1, u2) runs over one pair
+    of each orbit of (u1, u2) -> (w u1, w^2 u2) and the count of a free orbit
+    is tripled.  The tables are built here, by plain loops over F_p.
+    """
+    q = p ** 3
+    if p % 3 == 2:
+        return q + 1  # cubing is a bijection of F_q: one y per x
+    roots = [0] * p  # roots[v]: the y in F_p with y^2 = v
+    cube_roots = [0] * p  # cube_roots[v]: the y in F_p with y^3 = v
+    for y in range(p):
+        roots[y * y % p] += 1
+        cube_roots[y * y * y % p] += 1
+    r = 2
+    while cube_roots[r]:
+        r += 1
+    w = pow(r, (p - 1) // 3, p)
+    reps = [x for x in range(1, p) if x < x * w % p and x < x * w * w % p]
+    total = 1  # infinity
+    for u1 in [0] + reps:
+        for u2 in range(p) if u1 else [0] + reps:
+            orbit = 0
+            for u0 in range(p):
+                # N(u0 + u1 z + u2 z^2) = u0^3 + r u1^3 + r^2 u2^3 - 3 r u0 u1 u2
+                norm_u = u0 ** 3 + r * u1 ** 3 + r * r * u2 ** 3 - 3 * r * u0 * u1 * u2
+                weight = roots[norm_u % p]
+                if weight:
+                    # g(u) = v0 + v1 z + v2 z^2, reduced by z^3 = r
+                    v0 = (u0 * u0 + 2 * r * u1 * u2 + a * u0 + b) % p
+                    v1 = (2 * u0 * u1 + r * u2 * u2 + a * u1) % p
+                    v2 = (2 * u0 * u2 + u1 * u1 + a * u2) % p
+                    norm_v = v0 ** 3 + r * v1 ** 3 + r * r * v2 ** 3 - 3 * r * v0 * v1 * v2
+                    orbit += weight * cube_roots[norm_v % p]
+            total += orbit if u1 == u2 == 0 else 3 * orbit
+    return total
 
 
 class FiniteField:

@@ -39,6 +39,8 @@ from prymlab.oracle import (
 )
 from prymlab.torsion import three_part, torsion_group, two_torsion
 
+from finitefields import count_points_C3  # the tests' own N_3: no table shared with the oracle
+
 CLASSIFIED_GROUPS = {
     "trivial",
     "Z/2",
@@ -222,12 +224,14 @@ def test_criterion_8_oracle_self_consistency():
     while pairs < 100:
         c = _rand_box_curve(rng, 30)
         p = rng.choice(good_primes(c, 6))
-        counts = [count_points_C(c, p, k) for k in (1, 2, 3)]
+        m = integral_model(c)
+        n3 = count_points_C3(m.a.numerator, m.b.numerator, p)
+        counts = [count_points_C(c, p, 1), count_points_C(c, p, 2), n3]
         lp = l_polynomial(counts, p, 3)
         cs = lp.coeffs
         assert cs[4] == p * cs[2] and cs[5] == p * p * cs[1] and cs[6] == p**3
         assert cs[1] ** 2 <= 36 * p
-        pc = prym_order(c, p)  # L_P from N_1, N_2 and #E(F_p); L_C = L_E * L_P
+        pc = prym_order(c, p)  # L_P from character sums or N_2, and #E(F_p); L_C = L_E * L_P
         # the N_3 route is the independent reference for L_C = L_E * L_P
         assert lp.coeffs == pc.l_c.coeffs
         prod = [0] * 7

@@ -149,7 +149,7 @@ def test_small_path_matches_sieve_path(monkeypatch):
     # and is_prime's shortcut below 41^2 agrees with the sieve
     numbers = range(1, 10 ** 4)
     small = [(factor_integer(n), [power_primes(n, k) for k in (2, 3, 12)]) for n in numbers]
-    monkeypatch.setattr(factorization, "_trial_primes", lambda n, k: factorization._sieve())
+    monkeypatch.setattr(factorization, "_trial_primes", factorization._sieve)
     assert small == [(factor_integer(n), [power_primes(n, k) for k in (2, 3, 12)])
                      for n in numbers]
     assert [n for n in numbers if is_prime(n)] == [p for p in factorization._sieve() if p < 10 ** 4]
@@ -177,6 +177,45 @@ def test_box_records_build_no_sieve():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_family_records_with_small_primes_build_no_sieve():
+    # a denominator or gcd past 97^2 whose primes are below 97 stops inside
+    # the primes below 100: table2_Z3xZ6 at c = 1/3 has powers of 3 for
+    # denominators, and Z6_case3 at t = 1/3 the same
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from fractions import Fraction\n"
+        "import prymlab\n"
+        "from prymlab import classify_record, instantiate\n"
+        "for family, param in (('table2_Z3xZ6', 'c'), ('Z6_case3', 't')):\n"
+        "    classify_record(instantiate(family, {param: Fraction(1, 3)}), with_oracle=True)\n"
+        "print(len(prymlab.factorization._small_primes))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_trial_division_builds_the_sieve_past_97():
+    # a cofactor of 97^2 or more left by the primes below 97 reaches the sieve,
+    # and a prime between 101 and 10^6 is divided out by it
+    code = (
+        "import prymlab\n"
+        "from prymlab.factorization import factor_integer, power_primes\n"
+        "print(factor_integer(3 ** 40 * 89 ** 3), len(prymlab.factorization._small_primes))\n"
+        "print(power_primes(2 ** 12 * 101 ** 3, 3), factor_integer(999983 * 1000003))\n"
+        "print(len(prymlab.factorization._small_primes))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("{3: 40, 89: 3} 0\n"
+                           "[2, 101] {999983: 1, 1000003: 1}\n78498\n")
 
 
 def test_gcd_sanity():

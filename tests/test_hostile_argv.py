@@ -181,7 +181,7 @@ def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_pool):
      r"error: a 5000-digit number exceeds the 4300-digit limit"),
     # parses, then fails formatting Delta, which has more than 4300 digits
     (["classify", "3" * 4000, "1", "--json"],
-     r"error: Exceeds the limit \(4300 digits\) for integer string conversion.*"),
+     r"error: a number in the result exceeds the 4300-digit limit"),
 ])
 def test_hostile_argv_digit_limit(capsys, tmp_path, no_pool, argv, message):
     assert sys.get_int_max_str_digits() == 4300  # Python's default

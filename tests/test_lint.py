@@ -95,3 +95,17 @@ def test_package_is_float_free():
                 found += [f"{name}.py:{node.lineno} from math import {alias.name}"
                           for alias in node.names if alias.name in _FLOAT_MATH | {"*"}]
     assert found == []
+
+
+def test_test_reference_reads_no_oracle_table():
+    # the tower and the N_3 counter in tests/finitefields.py check the oracle,
+    # so they import nothing of the package but the primality test
+    path = Path(__file__).resolve().parent / "finitefields.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert {name for name in imported if name.split(".")[0] == "prymlab"} == {
+        "prymlab.factorization.is_prime"}

@@ -26,11 +26,17 @@ from prymlab.oracle import (
     torsion_multiplicative_bound,
 )
 
-from finitefields import FiniteField  # the brute-force reference, beside these tests
+from finitefields import FiniteField, count_points_C3  # the references, beside these tests
 
 
 def _c(a, b):
     return new_curve(Fraction(a), Fraction(b))
+
+
+def _n3(c, p):
+    """#C(F_{p^3}) by the tests' own counter, on the integral model's integers."""
+    m = integral_model(c)
+    return count_points_C3(m.a.numerator, m.b.numerator, p)
 
 
 def test_spot_counts():
@@ -70,10 +76,11 @@ def test_counts_match_naive():
 
 
 def test_extension_counts_match_brute_force():
-    # brute force via a precomputed cube table over the tower field; the k = 3
-    # primes are 1 mod 3, so the count runs rather than q + 1.  Branches of the
-    # counter: p = 2 mod 3 at k = 2 (the line table: p = 5, 11, 17), p = 1 mod 3
-    # at k = 2 and 3 (the norm test), a = 0, and a^2 - 4b a non-square mod p
+    # brute force via a precomputed cube table over the tower field, against
+    # count_points_C at k = 2 and the tests' own count_points_C3 at k = 3; the
+    # k = 3 primes are 1 mod 3, so the count runs rather than q + 1.  Branches
+    # of the counters: p = 2 mod 3 at k = 2 (the line table: p = 5, 11, 17),
+    # p = 1 mod 3 at k = 2 and 3 (the norm test), a = 0, and a^2 - 4b a non-square mod p
     # with b a square, so g has a root u off F_p with psi(u) = 1 and n3(0) = 1
     # is read at u1 != 0: (2, 5, 11), (1, 2, 17) and (-2, 3, 13); (-5, 4, 11)
     # has its roots in F_p
@@ -106,7 +113,8 @@ def test_extension_counts_match_brute_force():
             x = field.decode(xi)
             v = x**4 + field.from_int(a) * x * x + field.from_int(b)
             count += cubes.get(v.encode(), 0)
-        assert count_points_C(c, p, k) == count, (a, b, p, k)
+        assert (count_points_C(c, p, 2) if k == 2 else count_points_C3(a, b, p)) == count, \
+            (a, b, p, k)
 
 
 def test_p_1_mod_3_sums_match_brute_force():
@@ -159,7 +167,7 @@ def test_extension_counts_pinned():
             if p <= 199:
                 rows.append([a, b, p, 2, count_points_C(c, p, 2)])
             if p <= 61:
-                rows.append([a, b, p, 3, count_points_C(c, p, 3)])
+                rows.append([a, b, p, 3, _n3(c, p)])
     assert len(rows) == 568
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_COUNTS
 
@@ -221,13 +229,13 @@ def test_oracle_runs_without_numpy():
         "from prymlab import classify_record, count_points_C, new_curve\n"
         "c = new_curve(3, 4)\n"
         "print(json.dumps(classify_record(c, with_oracle=True), sort_keys=True))\n"
-        "print(count_points_C(c, 13, 3))\n"
+        "print(count_points_C(c, 13, 2))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     record = json.dumps(records.classify_record(_c(3, 4), with_oracle=True), sort_keys=True)
-    assert proc.stdout == f"{record}\n2128\n"
+    assert proc.stdout == f"{record}\n215\n"
 
 
 def test_l_polynomial_genus1():
@@ -246,7 +254,7 @@ def test_l_polynomial_functional_equation():
         for p in (7, 13, 19):
             if (6 * 16 * b * (a * a - 4 * b)) % p == 0:
                 continue
-            counts = [count_points_C(c, p, k) for k in (1, 2, 3)]
+            counts = [count_points_C(c, p, 1), count_points_C(c, p, 2), _n3(c, p)]
             lp = l_polynomial(counts, p, 3)
             cs = lp.coeffs
             assert len(cs) == 7 and cs[0] == 1
@@ -340,7 +348,7 @@ def test_per_prime_tables_built_once_and_bounded(monkeypatch):
         r, spread, units, pairs, classes = oracle._quadratic_tables(p)
         assert [type(t) for t in (r, spread, units, pairs, classes)] == [int, int, tuple, tuple, bytes]
         assert {type(u) for u in units + pairs} == {tuple}
-    assert [type(t) for t in (roots, cubes.cls, cubes.n3)] == [bytes] * 3
+    assert [type(t) for t in (roots, cubes.cls)] == [bytes] * 2
     assert [type(t) for t in (cubes.squares, cubes.cubes)] == [int, int]
     # the bitsets: the nonzero squares doubled (X | X << p), the nonzero cubes
     squares = sum(1 << v for v in range(1, 13) if pow(v, 6, 13) == 1)
@@ -456,9 +464,10 @@ def test_factoring_input_checks_under_O():
 
 
 def test_caller_input_checks_under_O():
-    # a bad k or twist delta is a ValueError naming it, also under python -O
+    # a bad k or twist delta is a ValueError naming it, also under python -O;
+    # k = 3 is refused too: no record needs N_3
     c = _c(3, 4)
-    for k in (0, 4):
+    for k in (0, 3, 4):
         with pytest.raises(ValueError, match=f"got {k}"):
             count_points_C(c, 5, k)
     with pytest.raises(ValueError, match="delta"):
@@ -468,7 +477,7 @@ def test_caller_input_checks_under_O():
         "from prymlab import count_points_C, new_curve, sextic_twist\n"
         "c = new_curve(3, 4)\n"
         "for call in (lambda: count_points_C(c, 5, 4), lambda: count_points_C(c, 5, 0),\n"
-        "             lambda: sextic_twist(c, 0)):\n"
+        "             lambda: count_points_C(c, 13, 3), lambda: sextic_twist(c, 0)):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -479,8 +488,9 @@ def test_caller_input_checks_under_O():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "ValueError: count_points_C needs k in (1, 2, 3), got 4\n"
-        "ValueError: count_points_C needs k in (1, 2, 3), got 0\n"
+        "ValueError: count_points_C needs k in (1, 2), got 4\n"
+        "ValueError: count_points_C needs k in (1, 2), got 0\n"
+        "ValueError: count_points_C needs k in (1, 2), got 3\n"
         "ValueError: twist delta must be nonzero\n"
     )
 
@@ -684,7 +694,7 @@ def test_character_route_matches_sweep_route(sweeps):
             sweeps.clear()
             l_p = prym_order(c, p).l_p
             if _d1(a, b, p) == (0, 0):
-                assert sweeps == [(p, 1), (p, 2)], (a, b, p)
+                assert sweeps == [(p, 2)], (a, b, p)
                 fallbacks += 1
             else:
                 assert sweeps == [], (a, b, p)
@@ -708,7 +718,7 @@ def test_no_sweep_at_p_1_mod_3(sweeps):
     assert sweeps == []
     assert oracle._cube_rows.cache_info() == rows  # no cube row read or built
     prym_order(c, 197)
-    assert sweeps == [(197, 1), (197, 2)]
+    assert sweeps == [(197, 2)]
 
 
 def test_character_route_cross_checks_e_count():
@@ -721,7 +731,7 @@ def test_character_route_cross_checks_e_count():
 
 def test_prym_order_checks_p_once_and_builds_no_fraction(monkeypatch, fraction_constructions):
     # E's constant comes from the model's integers: one check of p and no
-    # Fraction; at p = 197 (2 mod 3) each fallback count_points_C checks p again
+    # Fraction; at p = 197 (2 mod 3) the fallback's count_points_C checks p again
     real = oracle._require_good
     checks = []
 
@@ -731,7 +741,7 @@ def test_prym_order_checks_p_once_and_builds_no_fraction(monkeypatch, fraction_c
 
     monkeypatch.setattr(oracle, "_require_good", counting)
     m = integral_model(_c(3, 4))
-    for p, want in ((13, 1), (199, 1), (197, 3)):
+    for p, want in ((13, 1), (199, 1), (197, 2)):
         del checks[:], fraction_constructions[:]
         prym_order(m, p)
         assert checks == [p] * want, p

@@ -53,6 +53,17 @@ def test_format_round_trip():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+def test_format_refuses_numbers_past_the_digit_limit():
+    # at the limit a number prints; past it, in the numerator or the
+    # denominator, the refusal names the limit instead of Python's advice
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(10 ** limit - 1) == "9" * limit
+    for q in (10 ** limit, Fraction(1, 10 ** limit), Fraction(-3 ** 10000, 2)):
+        with pytest.raises(ValueError) as info:
+            format_rational(q)
+        assert str(info.value) == f"a number in the result exceeds the {limit}-digit limit"
+
+
 def test_integer_nth_root_exact_and_floor():
     assert integer_nth_root(729, 6) == 3
     assert integer_nth_root(728, 6) == 2
