@@ -8,12 +8,15 @@ For a good prime p (p >= 5, p not dividing 6*Delta of the integral model):
 * #C(F_{p^k}) for k = 1, 2 in pure Python (below); when q = 2 mod 3
   cubing is a bijection and the count is q + 1 with no enumeration.
 * #E(F_p) for the elliptic quotient y^2 = x^3 + c by quadratic characters.
-* L-polynomials from the power sums s_k = q + 1 - N_k by one Newton loop.
-* The Prym quartic L_P from its power sums s_1, s_2, and L_C = L_E * L_P as
-  a product (Jac(C) ~ E x P).  At p = 1 mod 3 the s_k(P) come from cubic
-  character sums over F_p, with no extension field (see
-  `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when the
-  character sum d1 vanishes, s_1(P) = 0 and s_2(P) = s_2(C) - s_2(E) is
+* `l_polynomial`: the genus-g L-polynomial from N_1..N_g by Newton's
+  identities on the power sums s_k = p^k + 1 - N_k.  `prym_order` needs no
+  loop: it reads L_E = 1 + e1 T + p T^2 and the Prym quartic
+  L_P = 1 - s_1 T + (s_1^2 - s_2)/2 T^2 - p s_1 T^3 + p^2 T^4 off the
+  functional equation, and both pass the Weil checks `l_polynomial` makes.
+* L_C = L_E * L_P as a product (Jac(C) ~ E x P).  At p = 1 mod 3 the
+  s_k(P) come from cubic character sums over F_p, with no extension field
+  (see `_character_power_sums`).  At p = 2 mod 3, and at p = 1 mod 3 when
+  the character sum d1 vanishes, s_1(P) = 0 and s_2(P) = s_2(C) - s_2(E) is
   read off #E(F_p) and the F_{p^2} count N_2.  L_P(1) = #P(F_p), which every
   rational torsion subgroup divides (reduction is injective on prime-to-p
   torsion, and p >= 5 > 3).  No record needs N_3; the tests count it with
@@ -369,22 +372,10 @@ def _even_rows(half: bytes, count: int) -> Tuple[int, ...]:
     return tuple(_bits(text, c) for c in range(count))
 
 
-def _from_power_sums(s: Sequence[int], p: int, genus: int) -> Tuple[int, ...]:
-    """The coefficients of the L-polynomial whose reciprocal roots have power sums s_1..s_g.
-
-    Newton: k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i and c_i = (-1)^i e_i; the
-    functional equation c_{2g-i} = p^(g-i) c_i fills the top half.  Raises
-    WeilBoundViolation on a non-integral e_k, |c_1| > 2g sqrt(p) or L(+-1) <= 0.
-    """
-    low = [1]  # c_0..c_g; with c_i = (-1)^i e_i Newton reads -k c_k = sum c_{k-i} s_i
-    for k in range(1, genus + 1):
-        k_ck = 0
-        for i in range(1, k + 1):
-            k_ck -= low[k - i] * s[i - 1]
-        if k_ck % k != 0:
-            raise WeilBoundViolation(f"non-integral e{k} from power sums {list(s)} at p={p}")
-        low.append(k_ck // k)
-    coeffs = tuple(low + [p ** (genus - i) * low[i] for i in range(genus - 1, -1, -1)])
+def _weil_checked(coeffs: Tuple[int, ...], p: int, genus: int) -> Tuple[int, ...]:
+    """coeffs, the L-polynomial c_0..c_2g of a genus-g curve or abelian variety
+    at p, once it passes the Weil checks; WeilBoundViolation on
+    |c_1| > 2g sqrt(p) or L(+-1) <= 0."""
     c1 = coeffs[1]
     if c1 * c1 > 4 * genus * genus * p:
         raise WeilBoundViolation(f"|c1| = {abs(c1)} exceeds 2g*sqrt(p) at p={p}")
@@ -395,11 +386,34 @@ def _from_power_sums(s: Sequence[int], p: int, genus: int) -> Tuple[int, ...]:
 
 
 def l_polynomial(counts: Sequence[int], p: int, genus: int) -> LPolynomial:
-    """L-polynomial from N_1..N_g; WeilBoundViolation if no zeta function fits."""
+    """L-polynomial from N_1..N_g; WeilBoundViolation if no zeta function fits.
+
+    The power sums of the reciprocal roots are s_k = p^k + 1 - N_k.  Newton:
+    k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i and c_i = (-1)^i e_i; the
+    functional equation c_{2g-i} = p^(g-i) c_i fills the top half.  Raises
+    WeilBoundViolation on a non-integral e_k, |c_1| > 2g sqrt(p) or
+    L(+-1) <= 0, and ValueError unless genus is an int >= 1, p an int >= 2
+    and counts g ints.
+    """
+    if not isinstance(genus, int) or genus < 1:
+        raise ValueError(f"l_polynomial needs an int genus >= 1, got genus = {genus!r}")
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"l_polynomial needs an int p >= 2, got p = {p!r}")
     if len(counts) != genus:
         raise ValueError(f"need N_1..N_{genus}, got {len(counts)} counts")
-    coeffs = _from_power_sums([p ** k + 1 - n for k, n in enumerate(counts, 1)], p, genus)
-    return LPolynomial(p=p, genus=genus, coeffs=coeffs)
+    if not all(isinstance(n, int) for n in counts):
+        raise ValueError(f"l_polynomial needs int counts, got counts = {list(counts)!r}")
+    s = [p ** k + 1 - n for k, n in enumerate(counts, 1)]
+    low = [1]  # c_0..c_g; with c_i = (-1)^i e_i Newton reads -k c_k = sum c_{k-i} s_i
+    for k in range(1, genus + 1):
+        k_ck = 0
+        for i in range(1, k + 1):
+            k_ck -= low[k - i] * s[i - 1]
+        if k_ck % k != 0:
+            raise WeilBoundViolation(f"non-integral e{k} from power sums {s} at p={p}")
+        low.append(k_ck // k)
+    coeffs = tuple(low + [p ** (genus - i) * low[i] for i in range(genus - 1, -1, -1)])
+    return LPolynomial(p=p, genus=genus, coeffs=_weil_checked(coeffs, p, genus))
 
 
 def _character_power_sums(p: int, a: int, b: int, n_e: int) -> Optional[List[int]]:
@@ -467,23 +481,33 @@ def prym_order(c: Curve, p: int) -> PrymCount:
     p = 2 mod 3, and when that pass finds d1 = 0, s_1(P) = 0 and
     s_2(P) = s_2(C) - s_2(E) is read off #E(F_p) and the F_{p^2} sweep
     N_2 = count_points_C(m, p, 2), the one count of C the fallback makes.
+
+    L_E and L_P are read off the functional equation, with no Newton loop:
+    L_E = 1 + e1 T + p T^2, e1 = #E(F_p) - p - 1, and
+    L_P = 1 + c1 T + c2 T^2 + p c1 T^3 + p^2 T^4, c1 = -s_1 and
+    2 c2 = s_1^2 - s_2.  Both pass `_weil_checked`, and each refusal reads
+    as `l_polynomial`'s for the same power sums.
     """
     m = integral_model(c)
     _require_good(p, _six_delta(m), _prime_cap(), "6*Delta")
     a, b = m.a.numerator % p, m.b.numerator % p
     # E: y^2 = x^3 + 16(a^2 - 4b); p is good for E, as 6c | 6*Delta = 6c b
-    n_e = _count_E(p, 16 * (a * a - 4 * b) % p)
-    l_e = LPolynomial(p, 1, _from_power_sums([p + 1 - n_e], p, 1))
-    e1 = l_e.coeffs[1]  # -s_1(E)
-    s = _character_power_sums(p, a, b, n_e) if p % 3 == 1 else None
+    e1 = _count_E(p, 16 * (a * a - 4 * b) % p) - p - 1  # -s_1(E)
+    l_e = LPolynomial(p, 1, _weil_checked((1, e1, p), p, 1))
+    s = _character_power_sums(p, a, b, p + 1 + e1) if p % 3 == 1 else None
     if s is None:
         # s_1(P) = 0, so N_1 is not counted: at p = 2 mod 3, N_1 = #E(F_p) =
         # p + 1; at p = 1 mod 3 the pass found d1 = 0, and s_1(P) = -Tr(d1).
         # s_2(P) = s_2(C) - s_2(E), s_2(E) = s_1(E)^2 - 2p: the two roots of
         # L_E multiply to p
         s = [0, p * p + 1 - count_points_C(m, p, 2) - (e1 * e1 - 2 * p)]
-    l_p = _from_power_sums(s, p, 2)
-    _, c1, c2, c3, c4 = l_p
+    s1, s2 = s
+    c2, odd = divmod(s1 * s1 - s2, 2)
+    if odd:
+        raise WeilBoundViolation(f"non-integral e2 from power sums {s} at p={p}")
+    c1 = -s1
+    l_p = _weil_checked((1, c1, c2, p * c1, p * p), p, 2)
+    c3, c4 = l_p[3:]
     # L_C = (1 + e1 T + p T^2)(1 + c1 T + c2 T^2 + c3 T^3 + c4 T^4)
     l_c = (1, c1 + e1, c2 + e1 * c1 + p, c3 + e1 * c2 + p * c1, c4 + e1 * c3 + p * c2,
            e1 * c4 + p * c3, p * c4)

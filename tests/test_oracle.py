@@ -276,6 +276,17 @@ def test_weil_violation_artificial():
         l_polynomial([8, 49, 344], 7, 3)
 
 
+def test_l_polynomial_refuses_bad_input():
+    # a ValueError naming the argument, where a genus of 0 raised a bare
+    # IndexError and a float count gave float coefficients
+    for counts, p, genus, name in (([], 7, 0, "genus"), ([3], 7, -1, "genus"),
+                                   ([3], 7, 1.0, "genus"), ([3.0], 7, 1, "counts"),
+                                   ([3, Fraction(49)], 7, 2, "counts"), ([3], 7.0, 1, "p"),
+                                   ([3], 1, 1, "p"), ([3], -7, 1, "p")):
+        with pytest.raises(ValueError, match=f"got {name} = "):
+            l_polynomial(counts, p, genus)
+
+
 def test_prym_order_frozen():
     pc = prym_order(_c(-5, 4), 7)
     assert pc.order == 63
@@ -760,3 +771,79 @@ def test_prym_order_checks_its_e_count(monkeypatch):
     monkeypatch.setattr(oracle, "_count_E", lambda p, e: real(p, e) + 3)
     with pytest.raises(InternalInconsistency, match="cubic character sum gives"):
         prym_order(c, 13)
+
+
+def test_prym_order_matches_the_newton_route(sweeps):
+    # the closed forms of L_E and L_P in prym_order against l_polynomial's
+    # Newton loop: L_E from #E(F_p), and L_P from s_k(P) = s_k(C) - s_k(E) with
+    # s_k(C) from N_1, N_2 and s_2(E) = s_1(E)^2 - 2p; 40 seeded curves at sampled
+    # good primes up to 499 in both residue classes, 8 of them with a = 0 and a
+    # p = 7 mod 12, where d1 = 0 sends prym_order to the fallback
+    rng = random.Random(78)
+    curves = [(0, rng.choice((-1, 1)) * rng.randint(1, 60)) for _ in range(8)]
+    while len(curves) < 40:
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if b != 0 and a * a != 4 * b:
+            curves.append((a, b))
+    pool = list(itertools.takewhile(lambda p: p <= 499, primes_from(5)))
+    fallbacks, classes = 0, set()
+    for a, b in curves:
+        c = _c(a, b)
+        m = integral_model(c)
+        e = elliptic_quotients(m)[0]
+        good = [p for p in pool if oracle._six_delta(m) % p]
+        primes = rng.sample(good, 2)
+        if a == 0:
+            primes.append(rng.choice([p for p in good if p % 12 == 7]))
+        for p in primes:
+            sweeps.clear()
+            pc = prym_order(c, p)
+            n_e = count_points_E(e, p)
+            assert pc.l_e == l_polynomial([n_e], p, 1), (a, b, p)
+            s_e = p + 1 - n_e
+            s1 = p + 1 - count_points_C(c, p, 1) - s_e
+            s2 = p * p + 1 - count_points_C(c, p, 2) - (s_e * s_e - 2 * p)
+            assert pc.l_p == l_polynomial([p + 1 - s1, p * p + 1 - s2], p, 2).coeffs, (a, b, p)
+            fallbacks += p % 3 == 1 and sweeps == [(p, 2)]
+            classes.add(p % 3)
+    assert classes == {1, 2} and fallbacks >= 8
+
+
+def test_prym_order_refusals_match_the_newton_route(monkeypatch):
+    # each refusal of the closed-form L_P raises WeilBoundViolation with the
+    # message l_polynomial's Newton loop gives for the same s_1(P), s_2(P):
+    # a non-integral e2, |c1| > 4 sqrt(p) and L(+-1) <= 0
+    def newton_refusal(s, p):
+        with pytest.raises(WeilBoundViolation) as refused:
+            l_polynomial([p + 1 - s[0], p * p + 1 - s[1]], p, 2)
+        return str(refused.value)
+
+    def refusal(c, p):
+        with pytest.raises(WeilBoundViolation) as refused:
+            prym_order(c, p)
+        return str(refused.value)
+
+    def weil(p):
+        return [0, 2 * (p * p + 10 * p)]  # c2 = -(p^2 + 10p): L(1) = L(-1) < 0
+
+    # the character route at p = 13 on C(3, 4)
+    real = oracle._character_power_sums
+    for s, starts in (([1, 2], "non-integral e2"), ([15, 1], "|c1| = 15 exceeds"),
+                      (weil(13), "L(+-1) not positive")):
+        monkeypatch.setattr(oracle, "_character_power_sums", lambda p, a, b, n_e: list(s))
+        want = newton_refusal(s, 13)
+        assert want.startswith(starts)
+        assert refusal(_c(3, 4), 13) == want
+    monkeypatch.setattr(oracle, "_character_power_sums", real)
+    # the fallback through N_2: p = 197 = 2 mod 3 on C(3, 4), and d1 = 0 at
+    # p = 19 = 1 mod 3 on C(0, 5); s_1(P) = 0 there, so |c1| cannot exceed
+    for (a, b), p in (((3, 4), 197), ((0, 5), 19)):
+        assert p % 3 == 2 or _d1(a, b, p) == (0, 0)
+        c = _c(a, b)
+        e1 = count_points_E(elliptic_quotients(integral_model(c))[0], p) - p - 1
+        for s, starts in (([0, 3], "non-integral e2"), (weil(p), "L(+-1) not positive")):
+            n2 = p * p + 1 - s[1] - (e1 * e1 - 2 * p)
+            monkeypatch.setattr(oracle, "count_points_C", lambda c, p, k=1: n2)
+            want = newton_refusal(s, p)
+            assert want.startswith(starts)
+            assert refusal(c, p) == want
