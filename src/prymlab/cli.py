@@ -11,8 +11,12 @@ Verbs:
   [--jobs N]`` — batch classification to JSONL, deterministic order, streamed
   (memory does not grow with the grid; bad arguments exit before F is touched),
   resumable (complete lines in --out are skipped, a cut last line is redone, a
-  file written by a different scan is refused), on at most min(N, CPUs, grid
-  points) worker processes.
+  file written by a different scan is refused), on W = min(N, usable CPUs, grid
+  points) forked worker processes (in process where the platform has no fork):
+  worker i classifies blocks i, i + W, ... of the records and sends each over
+  its own pipe, and the parent writes them in grid order, so the output is the
+  same at any N.  A worker's exception exits as it would in process; a worker
+  that dies ends the scan with exit 1.
 
 Rationals on the command line are "p/q" or "p".  Leading minus signs work
 ("classify -720 82944"); use ``--`` before a negative first argument if your
@@ -29,10 +33,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import re
+import struct
 import sys
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -263,6 +269,124 @@ def _resume_point(existing, curves: Iterator[Curve], with_oracle: bool) -> int:
     return skip
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, which an affinity mask can make fewer
+    # than the machine has
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class WorkerLost(OSError):
+    """A scan worker ended without sending the rest of its records."""
+
+
+# A frame on a worker's pipe: a kind byte and the payload's length, then the
+# payload.  A block is UTF-8 record lines; an error is the pickled (lines
+# done, exception); the end frame is empty and follows the worker's last block.
+_FRAME = struct.Struct(">cQ")
+_BLOCK, _ERROR, _END = b"B", b"X", b"E"
+
+
+def _send(pipe, kind: bytes, payload: bytes = b"") -> None:
+    pipe.write(_FRAME.pack(kind, len(payload)))
+    pipe.write(payload)
+    pipe.flush()
+
+
+def _receive(pipe, index: int) -> Tuple[bytes, bytes]:
+    header = pipe.read(_FRAME.size)
+    if len(header) == _FRAME.size:
+        kind, length = _FRAME.unpack(header)
+        payload = pipe.read(length)
+        if len(payload) == length:
+            return kind, payload
+    raise WorkerLost(f"scan worker {index + 1} ended before sending all its records")
+
+
+def _work(pipe, record_line: Callable[[Curve], str], curves: Iterator[Curve],
+          index: int, workers: int, chunk: int) -> int:
+    # in worker `index`: classifies blocks index, index + workers, ... of
+    # `chunk` records each and sends each as one frame; returns the exit status
+    done: List[str] = []  # lines of the block in progress
+    try:
+        for n, c in enumerate(curves):
+            if n // chunk % workers == index:
+                done.append(record_line(c) + "\n")
+                if len(done) == chunk:
+                    _send(pipe, _BLOCK, "".join(done).encode())
+                    done.clear()
+        if done:
+            _send(pipe, _BLOCK, "".join(done).encode())
+        _send(pipe, _END)
+        return 0
+    except BaseException as exc:  # sent to the parent, which raises it
+        import pickle
+
+        _send(pipe, _ERROR, pickle.dumps(("".join(done), exc)))
+        return 1
+
+
+def _scan_forked(sink, record_line: Callable[[Curve], str], curves: Iterator[Curve],
+                 workers: int, chunk: int) -> None:
+    """Writes the record lines of `curves` to `sink`, in order, computed by
+    `workers` forked processes that inherit `curves` where it stands.  A
+    worker's exception is raised here after the lines before it are written; a
+    worker that dies raises WorkerLost.  No child outlives the call."""
+    pids: List[int] = []
+    pipes: List[Any] = []
+    try:
+        for index in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns from this branch
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for pipe in pipes:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        status = _work(pipe, record_line, curves, index, workers, chunk)
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(write_fd)  # so that the pipe reads EOF once the worker is gone
+            pipes.append(open(read_fd, "rb"))
+        # blocks come round-robin in grid order; the first end frame is where
+        # the records end, and every other worker's next frame must be its end
+        ended = 0
+        for n in itertools.count():
+            kind, payload = _receive(pipes[n % workers], n % workers)
+            if kind == _ERROR:
+                import pickle
+
+                lines, exc = pickle.loads(payload)
+                sink.write(lines)
+                raise exc
+            if kind == _END:
+                ended += 1
+                if ended == workers:
+                    break
+            elif ended:
+                raise WorkerLost(f"scan worker {n % workers + 1} sent records past the end")
+            else:
+                sink.write(payload.decode())
+        while pids:
+            _, status = os.waitpid(pids.pop(), 0)
+            if status:
+                raise WorkerLost("a scan worker exited with status "
+                                 f"{os.waitstatus_to_exitcode(status)}")
+    finally:
+        if pids:  # a failed scan; signal is imported here, off the scan's start-up path
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def _run_scan(ns: argparse.Namespace) -> int:
     make, axes = _scan_grid(ns)
     curves = _curves(make, axes)
@@ -274,20 +398,17 @@ def _run_scan(ns: argparse.Namespace) -> int:
         except FileNotFoundError:
             pass
     record_line = functools.partial(_record_line, with_oracle=ns.oracle)
-    workers = min(ns.jobs, left, os.cpu_count() or 1)
+    workers = min(ns.jobs, left, _usable_cpus()) if hasattr(os, "fork") else 1
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(ns.out, "a", encoding="utf-8")) if ns.out else sys.stdout
         if workers > 1:
-            import multiprocessing
-
-            pool = stack.enter_context(multiprocessing.Pool(workers))
-            # several chunks per worker, each small enough to keep the output flowing
+            sink.flush()  # so that no buffered text is copied into the workers
+            # several blocks per worker, each small enough to keep the output flowing
             chunk = max(1, min(64, left // (4 * workers)))
-            lines = pool.imap(record_line, curves, chunksize=chunk)
+            _scan_forked(sink, record_line, curves, workers, chunk)
         else:
-            lines = map(record_line, curves)
-        for line in lines:
-            print(line, file=sink)
+            for c in curves:
+                print(record_line(c), file=sink)
     return 0
 
 

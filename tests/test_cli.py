@@ -1,11 +1,12 @@
 """Command-line interface: verbs, schemas, exit codes, scan determinism."""
 
 import ast
+import contextlib
 import hashlib
 import json
-import multiprocessing
 import os
 import resource
+import signal
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import pytest
 
 from prymlab.cli import main
 from prymlab.curves import integral_model, new_curve
+from prymlab.errors import InternalInconsistency
 from prymlab.records import classify_record
 from prymlab.oracle import prym_order
 
@@ -306,6 +308,30 @@ def test_scan_refuses_a_different_scan(capsys, tmp_path):
     assert out_path.read_text().startswith(full) and len(out_path.read_text().splitlines()) == 8
 
 
+def _assert_no_child():
+    # every worker a scan forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the host, and the pids of the scan workers
+    forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
 def test_scan_jobs_byte_identical(capsys, tmp_path):
     one = tmp_path / "one.jsonl"
     four = tmp_path / "four.jsonl"
@@ -313,6 +339,7 @@ def test_scan_jobs_byte_identical(capsys, tmp_path):
     run(capsys, "scan", "--box", "a=-3..3", "b=1..4", "--jobs", "4",
         "--out", str(four))
     assert one.read_text() == four.read_text()
+    _assert_no_child()
 
 
 def test_scan_family_oracle_jobs_byte_identical(capsys):
@@ -321,33 +348,145 @@ def test_scan_family_oracle_jobs_byte_identical(capsys):
     code2, two, _ = run(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
     assert len(one.splitlines()) == 6 and one == two
+    _assert_no_child()
 
 
-class _FakePool:
-    """multiprocessing.Pool stand-in: records its worker count and chunk size
-    and maps in-process."""
+def test_scan_resume_after_cut_line_at_two_jobs(capsys, tmp_path, forks):
+    # a file cut mid-line, resumed by two workers, equals an uncut one-job scan
+    whole, cut = tmp_path / "whole.jsonl", tmp_path / "cut.jsonl"
+    box = ("scan", "--box", "a=-3..3", "b=1..6")
+    assert run(capsys, *box, "--out", str(whole))[0] == 0
+    text = whole.read_text()
+    cut.write_text(text[: text.index("\n", len(text) // 3) - 40])
+    assert run(capsys, *box, "--jobs", "2", "--out", str(cut))[0] == 0
+    assert len(forks) == 2
+    assert cut.read_text() == text
+    _assert_no_child()
 
-    started = []  # [processes, chunksize] of each pool
 
-    def __init__(self, processes):
-        self.calls = [processes]
-        _FakePool.started.append(self.calls)
+def test_scan_worker_exception_keeps_its_exit_code(capsys, tmp_path, monkeypatch, forks):
+    # an exception in a worker exits as it would in process: exit 3, the lines
+    # before the failing record written, no child left
+    import prymlab.cli as cli
 
-    def __enter__(self):
-        return self
+    classify = cli.classify_record
 
-    def __exit__(self, *exc):
-        return False
+    def failing(c, **kwargs):
+        if (c.a, c.b) == (2, 5):
+            raise InternalInconsistency("planted in the scan of C(2, 5)")
+        return classify(c, **kwargs)
 
-    def imap(self, fn, iterable, chunksize=1):
-        self.calls.append(chunksize)
-        return map(fn, iterable)
+    monkeypatch.setattr(cli, "classify_record", failing)
+    results = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"jobs{jobs}.jsonl"
+        code, out, err = run(capsys, "scan", "--box", "a=-3..3", "b=1..6",
+                             "--jobs", jobs, "--out", str(out_path))
+        results.append((code, out, err, out_path.read_text()))
+        _assert_no_child()
+    assert len(forks) == 2
+    code, out, err, text = results[0]
+    assert (code, out, err) == (3, "", "internal inconsistency: planted in the scan of C(2, 5)\n")
+    # a = -3..1 less (-2, 1), then (2, 2..4): 32 records, the last two from
+    # the failing block of 5 (records 30..34)
+    assert len(text.splitlines()) == 32
+    assert results[1] == results[0]
+
+
+# Runs a scan through cli.main in a fresh interpreter with two usable CPUs.
+# argv[1] is "-" or "A,B": the worker that classifies C(A, B) dies there with
+# os._exit.  The last stdout line reports the forks, whether multiprocessing
+# was imported, the threads alive and whether a child outlived the scan.
+_SCAN_CHILD = """
+import json, os, sys
+from prymlab import cli
+
+parent, forks, fork, classify = os.getpid(), [], os.fork, cli.classify_record
+dying = None if sys.argv[1] == "-" else tuple(map(int, sys.argv[1].split(",")))
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+def classify_or_die(c, **kwargs):
+    if os.getpid() != parent and (c.a, c.b) == dying:
+        os._exit(9)
+    return classify(c, **kwargs)
+
+os.fork, cli.classify_record = counting_fork, classify_or_die
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+import threading
+print(json.dumps({"forks": len(forks), "multiprocessing": "multiprocessing" in sys.modules,
+                  "threads": threading.active_count(), "child_left": child_left}))
+sys.exit(code)
+"""
+
+
+def _scan_child(dying, *argv, timeout=60):
+    """_SCAN_CHILD in its own session; a scan still running after `timeout`
+    seconds is killed with its whole process group and fails the test."""
+    proc = subprocess.Popen([sys.executable, "-c", _SCAN_CHILD, dying, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_child_env(), start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"scan {argv} still running after {timeout} s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, json.loads(out.splitlines()[-1]), err
+
+
+def test_scan_workers_import_no_multiprocessing(tmp_path):
+    out_path = tmp_path / "scan.jsonl"
+    code, report, err = _scan_child("-", "scan", "--box", "a=-3..3", "b=1..6",
+                                    "--jobs", "2", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert report == {"forks": 2, "multiprocessing": False, "threads": 1, "child_left": False}
+
+
+def test_scan_dead_worker_exits_1_and_resumes(capsys, tmp_path):
+    # a worker that dies mid-box ends the scan instead of hanging it; the file
+    # keeps whole records, and a rerun resumes it to the full scan
+    box = ("scan", "--box", "a=1..8", "b=1..6")
+    whole, out_path = tmp_path / "whole.jsonl", tmp_path / "scan.jsonl"
+    assert run(capsys, *box, "--out", str(whole))[0] == 0
+    code, report, err = _scan_child("5,3", *box, "--jobs", "2", "--out", str(out_path))
+    assert code == 1 and report["forks"] == 2 and not report["child_left"]
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    text = out_path.read_text()
+    assert text.endswith("\n") and whole.read_text().startswith(text)
+    assert 0 < len(text.splitlines()) < len(whole.read_text().splitlines())
+    code, report, err = _scan_child("-", *box, "--jobs", "2", "--out", str(out_path))
+    assert (code, err, report["child_left"]) == (0, "", False)
+    assert out_path.read_text() == whole.read_text()
 
 
 def test_scan_pool_bounded_by_grid_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    import prymlab.cli as cli
+
+    started = []  # (workers, chunk) of each forked scan
+
+    def fake_scan_forked(sink, record_line, curves, workers, chunk):
+        started.append((workers, chunk))
+        for c in curves:
+            print(record_line(c), file=sink)
+
+    monkeypatch.setattr(cli, "_scan_forked", fake_scan_forked)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    cases = [  # jobs, box, worker count started (None: no pool)
+    cases = [  # jobs, box, worker count started (None: no workers)
         ("1000", ("a=1..1", "b=1..2"), 2),
         ("1000", ("a=1..3", "b=1..4"), 8),
         ("3", ("a=1..3", "b=1..4"), 3),
@@ -355,18 +494,35 @@ def test_scan_pool_bounded_by_grid_and_cpus(capsys, monkeypatch):
     ]
     for jobs, box, workers in cases:
         _, expected, _ = run(capsys, "scan", "--box", *box)
-        del _FakePool.started[:]
+        del started[:]
         code, out, _ = run(capsys, "scan", "--box", *box, "--jobs", jobs)
         assert code == 0 and out == expected
         if workers is None:
-            assert _FakePool.started == []
+            assert started == []
         else:
-            [(processes, chunksize)] = _FakePool.started
-            assert processes == workers and 1 <= chunksize <= 64
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    del _FakePool.started[:]
+            [(count, chunk)] = started
+            assert count == workers and 1 <= chunk <= 64
+    _, expected, _ = run(capsys, "scan", "--box", "a=1..3", "b=1..4")
+    one_cpu = [  # the CPUs this process may use, not the machine's count
+        {"sched_getaffinity": lambda pid: {0}},
+        {"sched_getaffinity": None, "cpu_count": lambda: 1},
+        {"fork": None},  # no fork: in process at any --jobs
+    ]
+    for patches in one_cpu:
+        with monkeypatch.context() as patch:
+            for name, value in patches.items():
+                if value is None:
+                    patch.delattr(os, name, raising=False)
+                else:
+                    patch.setattr(os, name, value)
+            del started[:]
+            code, out, _ = run(capsys, "scan", "--box", "a=1..3", "b=1..4", "--jobs", "4")
+            assert (code, out, started) == (0, expected, [])
+    # without an affinity mask the CPU count bounds the workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    del started[:]
     run(capsys, "scan", "--box", "a=1..3", "b=1..4", "--jobs", "4")
-    assert _FakePool.started == []
+    assert [count for count, _ in started] == [4]
 
 
 @pytest.mark.parametrize("args", [

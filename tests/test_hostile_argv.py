@@ -1,13 +1,13 @@
 """Hostile command lines, in process through ``cli.main``.
 
 Every case returns its documented exit code within a wall budget, raises
-nothing uncaught, never starts a worker pool and never creates ``--out``.  A
+nothing uncaught, never forks a scan worker and never creates ``--out``.  A
 refused case prints nothing on stdout and one error line on stderr: ``error:
 ...`` from the verb, or argparse's own ``prog: error: ...`` after its usage
 text for a usage error, which leaves through ``SystemExit(1)``.
 """
 
-import multiprocessing
+import os
 import random
 import re
 import sys
@@ -139,14 +139,14 @@ def _refused(out, err):
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
+def no_workers(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a hostile case started a worker pool")
+        raise AssertionError("a hostile case forked a scan worker")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
 
 
-def test_hostile_argv(capsys, tmp_path, no_pool):
+def test_hostile_argv(capsys, tmp_path, no_workers):
     verbs = set()
     for argv, expected in CASES:
         code, out, err = _run_case(capsys, tmp_path, argv)
@@ -166,7 +166,7 @@ def test_hostile_argv_empty_entries_are_skipped(capsys):
     assert capsys.readouterr().out == '{"per_prime": [], "gcd": 0}\n'
 
 
-def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_pool):
+def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_workers):
     for argv, message in _seeded_repeats(seed=12, n=20):
         code, out, err = _run_case(capsys, tmp_path, argv)
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
@@ -183,7 +183,7 @@ def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_pool):
     (["classify", "3" * 4000, "1", "--json"],
      r"error: a number in the result exceeds the 4300-digit limit"),
 ])
-def test_hostile_argv_digit_limit(capsys, tmp_path, no_pool, argv, message):
+def test_hostile_argv_digit_limit(capsys, tmp_path, no_workers, argv, message):
     assert sys.get_int_max_str_digits() == 4300  # Python's default
     code, out, err = _run_case(capsys, tmp_path, argv)
     assert (code, out) == (1, "") and _refused(out, err), (code, err)
