@@ -458,8 +458,10 @@ def test_scan_workers_import_no_multiprocessing(tmp_path):
 
 def test_scan_dead_worker_exits_1_and_resumes(capsys, tmp_path):
     # a worker that dies mid-box ends the scan instead of hanging it; the file
-    # keeps whole records, and a rerun resumes it to the full scan
-    box = ("scan", "--box", "a=1..8", "b=1..6")
+    # keeps whole records, and a rerun resumes it to the full scan.  C(5, 3) is
+    # record 120 of 595, in block 1 of 64; the other worker has enough blocks
+    # left to fill its pipe, so a scan that waited for it would hang
+    box = ("scan", "--box", "a=1..20", "b=1..30")
     whole, out_path = tmp_path / "whole.jsonl", tmp_path / "scan.jsonl"
     assert run(capsys, *box, "--out", str(whole))[0] == 0
     code, report, err = _scan_child("5,3", *box, "--jobs", "2", "--out", str(out_path))
