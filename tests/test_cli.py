@@ -17,7 +17,8 @@ import pytest
 
 from prymlab.cli import main
 from prymlab.curves import integral_model, new_curve
-from prymlab.errors import InternalInconsistency
+from prymlab.errors import DegenerateParameters, InternalInconsistency
+from prymlab.families import instantiate
 from prymlab.records import classify_record
 from prymlab.oracle import prym_order
 
@@ -348,6 +349,23 @@ def test_scan_family_oracle_jobs_byte_identical(capsys):
     code2, two, _ = run(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
     assert len(one.splitlines()) == 6 and one == two
+    _assert_no_child()
+
+
+def test_scan_family_jobs_match_in_process_records(capsys, forks):
+    # Z6_case3 has a zero denominator at t = 0 and c = 1, a = -2, b = 1 at t = 1
+    args = ("scan", "--family", "Z6_case3", "--param", "t=-3..3")
+    expected = "".join(
+        json.dumps(classify_record(instantiate("Z6_case3", {"t": Fraction(t)})),
+                   sort_keys=True) + "\n"
+        for t in (-3, -2, -1, 2, 3))
+    for t in (0, 1):
+        with pytest.raises(DegenerateParameters):
+            instantiate("Z6_case3", {"t": Fraction(t)})
+    assert run(capsys, *args, "--jobs", "1") == (0, expected, "")
+    assert forks == []
+    assert run(capsys, *args, "--jobs", "2") == (0, expected, "")
+    assert len(forks) == 2
     _assert_no_child()
 
 

@@ -1,5 +1,8 @@
 """Parametric family registry: instantiation, degeneracy, expected invariants."""
 
+import ast
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from prymlab.curves import discriminant, j_invariant, new_curve
 from prymlab.endomorphisms import cm_discriminant, end_ring
 from prymlab.errors import DegenerateParameters, UnknownFamily
+from prymlab import families
 from prymlab.families import (
     expected_torsion,
     expected_torsion_shape,
@@ -207,3 +211,90 @@ def test_scan_like_sweep_z6():
         rep = torsion_group(c)
         m, n = rep.two.rank, rep.three.lower
         assert m >= 1 and n >= 1, (cval, rep.group_name)
+
+
+# -- the formulas themselves ----------------------------------------------------
+
+_GRID = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+         Fraction(1), Fraction(3, 2), Fraction(2)]
+
+# sha256 of one line per (family, grid point): the instantiated "a b", or the
+# DegenerateParameters message, recorded with the AST walker the formulas had
+_PINNED_GRID = "8fb1ccd2a822863bf81f6e218a9000b12a9502685842a888186f96c08cf47f8e"
+
+
+def test_instantiate_grid_pinned():
+    h = hashlib.sha256()
+    degenerate = 0
+    for spec in list_families():
+        for values in itertools.product(_GRID, repeat=len(spec.param_names)):
+            point = f"{spec.id} {' '.join(map(str, values))}:"
+            try:
+                c = instantiate(spec.id, dict(zip(spec.param_names, values)))
+                line = f"{point} {c.a} {c.b}"
+            except DegenerateParameters as exc:
+                line = f"{point} {exc}"
+                degenerate += 1
+            h.update(line.encode() + b"\n")
+    assert degenerate == 191  # 5 of them zero denominators, the rest discriminants
+    assert h.hexdigest() == _PINNED_GRID
+
+
+_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+
+
+def _lint_formula(formula, names):
+    """The problems of a formula: anything past int literals, the given
+    parameter names, + - * / and powers by an int literal."""
+    tree = ast.parse(formula.replace("^", "**"), mode="eval")
+    problems = []
+    for node in ast.walk(tree.body):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+            if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+                problems.append(f"power by {ast.dump(exponent)}")
+        elif isinstance(node, ast.BinOp):
+            if not isinstance(node.op, _ALLOWED_OPS):
+                problems.append(f"operator {type(node.op).__name__}")
+        elif isinstance(node, ast.UnaryOp):
+            if not isinstance(node.op, ast.USub):
+                problems.append(f"unary {type(node.op).__name__}")
+        elif isinstance(node, ast.Constant):
+            if type(node.value) is not int:
+                problems.append(f"literal {node.value!r}")
+        elif isinstance(node, ast.Name):
+            if node.id not in names:
+                problems.append(f"name {node.id}")
+        elif not isinstance(node, (ast.operator, ast.unaryop, ast.expr_context)):
+            problems.append(f"node {type(node).__name__}")
+    return problems
+
+
+def test_registry_formulas_lint():
+    # each formula is exact arithmetic over its own parameters and evaluates to
+    # a Fraction: an int / int such as "1/4*v" would silently make a float
+    for spec in list_families():
+        used = set()
+        for formula in (spec.a_formula, spec.b_formula):
+            assert _lint_formula(formula, spec.param_names) == [], (spec.id, formula)
+            used |= {node.id for node in ast.walk(ast.parse(formula.replace("^", "**")))
+                     if isinstance(node, ast.Name)}
+        assert used == set(spec.param_names), spec.id
+        for values in itertools.product(_GRID, repeat=len(spec.param_names)):
+            env = dict(zip(spec.param_names, values))
+            try:
+                a = families._evaluate(spec.a_formula, env)
+                b = families._evaluate(spec.b_formula, env)
+            except ZeroDivisionError:
+                continue
+            assert type(a) is Fraction and type(b) is Fraction, (spec.id, values)
+
+
+def test_formula_lint_catches_floats_and_foreign_nodes():
+    assert _lint_formula("-(c + 1)*d^2 - c/d", ("c", "d")) == []
+    assert _lint_formula("c^(1/2)", ("c",)) == ["power by " + ast.dump(
+        ast.parse("(1/2)", mode="eval").body)]
+    assert _lint_formula("c*0.5", ("c",)) == ["literal 0.5"]
+    assert _lint_formula("c % 2", ("c",)) == ["operator Mod"]
+    assert _lint_formula("abs(c)", ("c",)) == ["node Call", "name abs"]
+    assert _lint_formula("c*x", ("c",)) == ["name x"]
