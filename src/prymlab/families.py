@@ -1,9 +1,10 @@
 """Parameterized families of curves with guaranteed torsion / endomorphism structure.
 
 Families are data, not code: each registry entry stores its (a, b) formulas as
-expression strings over the declared parameter names, evaluated exactly over Q
-by a tiny arithmetic-expression walker.  That keeps the registry printable
-(`family list`, JSON dump) and lets tests sweep every family uniformly.
+expression strings over the declared parameter names.  Python compiles each
+string once, and it is evaluated over Fraction parameters, so exactly over Q.
+The strings are the one source of truth: `family list` prints what is
+evaluated, and tests sweep every family uniformly.
 
 The guaranteed structure is containment: instantiating a family at
 non-degenerate parameters produces a curve whose Prym torsion CONTAINS
@@ -17,9 +18,10 @@ denominator in the formulas vanishes or the resulting discriminant is zero.
 
 from __future__ import annotations
 
-import ast
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import CodeType
 from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from .curves import Curve, new_curve
@@ -245,37 +247,14 @@ def _fmt_params(env: Mapping[str, Fraction]) -> str:
 # -- formula evaluation --------------------------------------------------------
 #
 # Formulas use +, -, *, /, ^ (exponentiation; ** also accepted), integer
-# literals, and parameter names.  They are parsed with the ast module and
-# folded over Fraction, so evaluation is exact.
+# literals, and parameter names.  Each is compiled once by Python and evaluated
+# with no builtins over the Fraction parameters, so every step is exact: each
+# division has a parameter on one side, so no int / int makes a float.
+
+@functools.lru_cache(maxsize=None)
+def _compiled(formula: str) -> CodeType:
+    return compile(formula.replace("^", "**"), "<formula>", "eval")
+
 
 def _evaluate(formula: str, env: Mapping[str, Fraction]) -> Fraction:
-    tree = ast.parse(formula.replace("^", "**"), mode="eval")
-    return _eval_node(tree.body, env)
-
-
-def _eval_node(node: ast.AST, env: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, int):
-            raise AssertionError(f"only integer literals in formulas: {ast.dump(node)}")
-        return Fraction(node.value)
-    if isinstance(node, ast.Name):
-        return env[node.id]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_eval_node(node.operand, env)
-    if isinstance(node, ast.BinOp):
-        left = _eval_node(node.left, env)
-        if isinstance(node.op, ast.Pow):
-            exponent = node.right
-            if not (isinstance(exponent, ast.Constant) and isinstance(exponent.value, int)):
-                raise AssertionError(f"unsupported formula exponent: {ast.dump(exponent)}")
-            return left ** exponent.value
-        right = _eval_node(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            return left / right
-    raise AssertionError(f"unsupported formula node: {ast.dump(node)}")
+    return eval(_compiled(formula), {"__builtins__": {}}, env)
