@@ -2,7 +2,10 @@
 
 Pipeline: trial division, then a perfect-power check (r^e is factored as r)
 and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
-primality check that is deterministic for n < 3.3 * 10^24 (fixed witnesses).
+primality check.  Its witnesses, the primes up to 41, make it deterministic
+below psi_13 = 3317044064679887385961981 ~ 3.3 * 10^24 (Sorenson-Webster,
+Math. Comp. 2017); from psi_13 on it also tries 16 bases drawn from
+random.Random(n), so a given n always gets the same answer.
 Trial division runs over the 25 primes below 100, then over the primes from
 101 to 10^6 of an odd-only sieve (~3 MB).  The sieve is built the first time a
 loop gets past 97, never at import.  A loop stops at the first p with p^2
@@ -33,8 +36,11 @@ _small_primes: List[int] = []
 _PRIMES_BELOW_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                      67, 71, 73, 79, 83, 89, 97)
 
-# Witnesses making Miller-Rabin deterministic for n < 3.317e24 (Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson-Webster);
+# without 41 the bound is psi_12 = 318665857834031151167461, which passes 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+_MR_ROUNDS = 16  # seeded random bases from psi_13 on
 
 
 def _sieve() -> List[int]:
@@ -69,19 +75,23 @@ def _trial_primes() -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
+    """Miller-Rabin: deterministic below psi_13 ~ 3.3e24, seeded by n above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:  # no prime factor up to 37, so none at all
+    if n < 43 * 43:  # no prime factor up to 41, so none at all
         return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = _MR_WITNESSES
+    if n >= _PSI_13:
+        rng = random.Random(n)  # deterministic per input, as rho's walk is
+        witnesses += tuple(rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS))
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from prymlab import classify_record, factorization, new_curve, polynomials
+from prymlab.curves import integral_model
 from prymlab.errors import DegenerateCurve
 from prymlab.factorization import (
     factor_integer,
@@ -35,6 +36,31 @@ def test_is_prime_carmichael_and_large():
         assert not is_prime(n)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # Mersenne composite (Cole)
+
+
+# The least strong pseudoprimes to the primes up to 37 (psi_12) and up to 41
+# (psi_13), with their factors (Sorenson-Webster, Math. Comp. 2017).
+_PSI_12, _PSI_12_FACTORS = 318665857834031151167461, (399165290221, 798330580441)
+_PSI_13, _PSI_13_FACTORS = 3317044064679887385961981, (1287836182261, 2575672364521)
+
+
+def test_is_prime_refuses_the_strong_pseudoprimes(monkeypatch):
+    assert math.prod(_PSI_12_FACTORS) == _PSI_12 and math.prod(_PSI_13_FACTORS) == _PSI_13
+    assert all(map(is_prime, _PSI_12_FACTORS + _PSI_13_FACTORS))
+    assert not is_prime(_PSI_12) and not is_prime(_PSI_13)
+    assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1)
+    # psi_13 passes every fixed witness: only the seeded bases refuse it
+    monkeypatch.setattr(factorization, "_MR_ROUNDS", 0)
+    assert is_prime(_PSI_13)
+
+
+def test_integral_model_of_a_strong_pseudoprime_denominator_is_minimal():
+    # with psi_12 taken for a prime, the model scaled by p^3 q, not p^2 q
+    p, q = _PSI_12_FACTORS
+    assert factor_integer(_PSI_12) == {p: 1, q: 1}
+    model = integral_model(new_curve(Fraction(1, p ** 7), Fraction(1, p * q)))
+    lam = p ** 2 * q
+    assert (model.a, model.b) == (Fraction(lam ** 6, p ** 7), Fraction(lam ** 12, p * q))
 
 
 def test_factor_known():
