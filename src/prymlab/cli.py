@@ -131,10 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_int(text: str) -> int:
+    """An integer in the wire format: "p", never "p/q"."""
+    if "/" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    return parse_rational(text).numerator
+
+
 def _parse_primes(text: Optional[str]) -> Optional[List[int]]:
     if text is None:
         return None
-    return [int(part) for part in text.split(",") if part]
+    return [_parse_int(part) for part in text.split(",") if part]
 
 
 def _assignments(texts: Iterable[str], parse_value: Callable[[str], Any]) -> Dict[str, Any]:
@@ -154,8 +161,7 @@ def _axis(text: str) -> Sequence:
     """LO..HI (integer endpoints, inclusive) or one rational."""
     if ".." not in text:
         return [parse_rational(text)]
-    lo_text, hi_text = text.split("..", 1)
-    lo, hi = int(lo_text), int(hi_text)
+    lo, hi = map(_parse_int, text.split("..", 1))
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)

@@ -38,6 +38,8 @@ CASES = [  # (argv, exit code)
     (["oracle", "3", "4", "--primes", "5,,7"], 1),  # 7 divides 6*Delta of C(3, 4)
     (["oracle", "3", "4", "--primes", "1e3"], 1),
     (["classify", "3", "4", "--primes", "-5", "--json"], 1),
+    (["oracle", "3", "4", "--primes", "1_3,1_7"], 1),  # int() would read 13, 17
+    (["classify", "3", "4", "--primes", "13/1"], 1),
     (["scan", "--box", "=1..2", "b=1..2", "--out", OUT], 1),
     (["scan", "--box", "a", "b=1..2", "--out", OUT], 1),
     (["scan", "--box", "a=1..2", "--out", OUT], 1),
@@ -48,6 +50,8 @@ CASES = [  # (argv, exit code)
     (["scan", "--family", "table2_Z6", "--param", "c=1..2..3", "--out", OUT], 1),
     (["scan", "--family", "table2_Z6", "--param", "c=1/2..3", "--out", OUT], 1),
     (["scan", "--family", "table2_Z6", "--param", "c=1..", "--out", OUT], 1),
+    (["scan", "--box", "a=1_0..1_1", "b=1..1", "--out", OUT], 1),  # as --box a=1_0 is
+    (["scan", "--box", "a=1..2/1", "b=1..1", "--out", OUT], 1),
     # zero denominators and degenerate points
     (["classify", "1/0", "4"], 1),
     (["dual", "3", "1/0"], 1),
@@ -178,6 +182,10 @@ def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_workers):
     (["family", "instantiate", "Z6_case3", "--param", "t=1/" + "9" * 4400],
      r"error: a 4400-digit number exceeds the 4300-digit limit"),
     (["dual", "3", "1/" + "0" * 4999 + "7"],
+     r"error: a 5000-digit number exceeds the 4300-digit limit"),
+    (["scan", "--box", "a=0.." + "9" * 5000, "b=1..1", "--out", OUT],
+     r"error: a 5000-digit number exceeds the 4300-digit limit"),
+    (["oracle", "3", "4", "--primes", "5," + "9" * 5000],
      r"error: a 5000-digit number exceeds the 4300-digit limit"),
     # parses, then fails formatting Delta, which has more than 4300 digits
     (["classify", "3" * 4000, "1", "--json"],
