@@ -2,10 +2,9 @@
 
 Pipeline: trial division, then a perfect-power check (r^e is factored as r)
 and Brent's variant of Pollard rho on what remains, with a Miller-Rabin
-primality check.  Its witnesses, the primes up to 41, make it deterministic
-below psi_13 = 3317044064679887385961981 ~ 3.3 * 10^24 (Sorenson-Webster,
-Math. Comp. 2017); from psi_13 on it also tries 16 bases drawn from
-random.Random(n), so a given n always gets the same answer.
+primality check that is deterministic below psi_13 ~ 3.3 * 10^24 (the primes
+up to 41 as witnesses, Sorenson-Webster 2017) and also tries 16 bases drawn
+from random.Random(n) above it, so a given n always gets the same answer.
 Trial division runs over the 25 primes below 100, then over the primes from
 101 to 10^6 of an odd-only sieve (~3 MB).  The sieve is built the first time a
 loop gets past 97, never at import.  A loop stops at the first p with p^2

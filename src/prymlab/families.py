@@ -246,12 +246,11 @@ def _fmt_params(env: Mapping[str, Fraction]) -> str:
 
 # -- formula evaluation --------------------------------------------------------
 #
-# Formulas use +, -, *, /, ^ (exponentiation; ** also accepted), integer
-# literals, and parameter names.  Each is compiled once by Python and evaluated
-# with no builtins over the Fraction parameters, so every step is exact: each
-# division has a parameter on one side, so no int / int makes a float.
+# Formulas use +, -, *, /, ^ (exponentiation), integer literals and parameter
+# names.  Each is compiled once and evaluated with no builtins over Fraction
+# parameters; every division has a parameter on one side, so none makes a float.
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _compiled(formula: str) -> CodeType:
     return compile(formula.replace("^", "**"), "<formula>", "eval")
 
