@@ -243,12 +243,15 @@ def test_instantiate_grid_pinned():
 _ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 
+def _nodes(formula):
+    return list(ast.walk(ast.parse(formula.replace("^", "**"), mode="eval").body))
+
+
 def _lint_formula(formula, names):
     """The problems of a formula: anything past int literals, the given
     parameter names, + - * / and powers by an int literal."""
-    tree = ast.parse(formula.replace("^", "**"), mode="eval")
     problems = []
-    for node in ast.walk(tree.body):
+    for node in _nodes(formula):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             exponent = node.right
             if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int):
@@ -277,8 +280,7 @@ def test_registry_formulas_lint():
         used = set()
         for formula in (spec.a_formula, spec.b_formula):
             assert _lint_formula(formula, spec.param_names) == [], (spec.id, formula)
-            used |= {node.id for node in ast.walk(ast.parse(formula.replace("^", "**")))
-                     if isinstance(node, ast.Name)}
+            used |= {node.id for node in _nodes(formula) if isinstance(node, ast.Name)}
         assert used == set(spec.param_names), spec.id
         for values in itertools.product(_GRID, repeat=len(spec.param_names)):
             env = dict(zip(spec.param_names, values))
@@ -292,8 +294,7 @@ def test_registry_formulas_lint():
 
 def test_formula_lint_catches_floats_and_foreign_nodes():
     assert _lint_formula("-(c + 1)*d^2 - c/d", ("c", "d")) == []
-    assert _lint_formula("c^(1/2)", ("c",)) == ["power by " + ast.dump(
-        ast.parse("(1/2)", mode="eval").body)]
+    assert [p.split("(")[0] for p in _lint_formula("c^(1/2)", ("c",))] == ["power by BinOp"]
     assert _lint_formula("c*0.5", ("c",)) == ["literal 0.5"]
     assert _lint_formula("c % 2", ("c",)) == ["operator Mod"]
     assert _lint_formula("abs(c)", ("c",)) == ["node Call", "name abs"]

@@ -183,13 +183,13 @@ def test_hostile_argv_seeded_repeats(capsys, tmp_path, no_workers):
      r"error: a 4400-digit number exceeds the 4300-digit limit"),
     (["dual", "3", "1/" + "0" * 4999 + "7"],
      r"error: a 5000-digit number exceeds the 4300-digit limit"),
+    # parses, then fails formatting Delta, which has more than 4300 digits
+    (["classify", "3" * 4000, "1", "--json"],
+     r"error: a number in the result exceeds the 4300-digit limit"),
     (["scan", "--box", "a=0.." + "9" * 5000, "b=1..1", "--out", OUT],
      r"error: a 5000-digit number exceeds the 4300-digit limit"),
     (["oracle", "3", "4", "--primes", "5," + "9" * 5000],
      r"error: a 5000-digit number exceeds the 4300-digit limit"),
-    # parses, then fails formatting Delta, which has more than 4300 digits
-    (["classify", "3" * 4000, "1", "--json"],
-     r"error: a number in the result exceeds the 4300-digit limit"),
 ])
 def test_hostile_argv_digit_limit(capsys, tmp_path, no_workers, argv, message):
     assert sys.get_int_max_str_digits() == 4300  # Python's default
