@@ -53,7 +53,7 @@ from .errors import (
 )
 from .families import check_params, get_family, instantiate, list_families
 from .oracle import good_primes
-from .rationals import parse_rational
+from .rationals import _WIRE_RE, parse_int, parse_rational
 from .records import DEFAULT_ORACLE_PRIMES, classify_record, oracle_summary
 
 USAGE_EXIT = 1
@@ -70,14 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    # argparse treats "-5/9" as an option unless its negative-number regex
-    # recognizes it; widen the regex to cover fractions.
-    matcher = re.compile(r"^-\d+(/\d+)?$")
-    if hasattr(parser, "_negative_number_matcher"):
-        parser._negative_number_matcher = matcher
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prymlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -85,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     def curve_args(p):
         p.add_argument("a", help='rational "p/q" or "p"')
         p.add_argument("b", help='rational "p/q" or "p"')
-        _allow_negative_rationals(p)
+        # argparse treats "-5/9" as an option unless its negative-number regex
+        # recognizes it; make that regex the wire grammar, sign "-" required
+        p._negative_number_matcher = re.compile(f"(?=-){_WIRE_RE.pattern}$", _WIRE_RE.flags)
 
     p_classify = sub.add_parser("classify", help="full report for one curve")
     curve_args(p_classify)
@@ -115,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     which_primes.add_argument("--primes", help="comma-separated primes")
     # default None, not the count: argparse would let --count equal to its
     # default pass beside --primes
-    which_primes.add_argument("--count", type=int,
+    which_primes.add_argument("--count", type=parse_int,
                               help=f"number of good primes (default {DEFAULT_ORACLE_PRIMES})")
 
     p_scan = sub.add_parser("scan", help="batch classification to JSONL")
@@ -126,22 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=LO..HI|NAME=VALUE",
                         help="family parameter value or integer range (each NAME once)")
     p_scan.add_argument("--out", help="output JSONL path (appends; resumes)")
-    p_scan.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_scan.add_argument("--jobs", type=parse_int, default=1, help="worker processes")
     p_scan.add_argument("--oracle", action="store_true", help="include oracle data")
     return parser
-
-
-def _parse_int(text: str) -> int:
-    """An integer in the wire format: "p", never "p/q"."""
-    if "/" in text:
-        raise ValueError(f"not an integer: {text!r}")
-    return parse_rational(text).numerator
 
 
 def _parse_primes(text: Optional[str]) -> Optional[List[int]]:
     if text is None:
         return None
-    return [_parse_int(part) for part in text.split(",") if part]
+    return [parse_int(part) for part in text.split(",") if part]
 
 
 def _assignments(texts: Iterable[str], parse_value: Callable[[str], Any]) -> Dict[str, Any]:
@@ -161,7 +148,7 @@ def _axis(text: str) -> Sequence:
     """LO..HI (integer endpoints, inclusive) or one rational."""
     if ".." not in text:
         return [parse_rational(text)]
-    lo, hi = map(_parse_int, text.split("..", 1))
+    lo, hi = map(parse_int, text.split("..", 1))
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)

@@ -23,9 +23,8 @@ curve's Jacobian and E, which is what the point-counting oracle exploits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import DegenerateCurve, InternalInconsistency, NotACube
 from .factorization import factor_integer, power_primes, valuation
@@ -33,28 +32,34 @@ from .polynomials import IntPolynomial
 from .rationals import RationalLike, format_rational, is_nth_power, parse_rational
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """y^3 = x^4 + a x^2 + b with 16*b*(a^2 - 4b) != 0."""
 
     a: Fraction
     b: Fraction
-    _is_model = False  # not a field: set by integral_model on what it returns
+    _is_model = False  # not a field: True on _Model, what integral_model returns
+
+    def __repr__(self) -> str:  # a _Model prints as the Curve it equals
+        return f"Curve(a={self.a!r}, b={self.b!r})"
 
     def __str__(self) -> str:
         return f"C({format_rational(self.a)}, {format_rational(self.b)})"
 
 
-@dataclass(frozen=True)
-class EllipticModel:
+class _Model(Curve):
+    __slots__ = ()
+    _is_model = True
+    _make = Curve._make  # so _replace gives a plain Curve: changed values are no model
+
+
+class EllipticModel(NamedTuple):
     """y^2 = x^3 + c, tagged with its role ("E" or "Ehat")."""
 
     c: Fraction
     role: str
 
 
-@dataclass(frozen=True)
-class Genus2Model:
+class Genus2Model(NamedTuple):
     """-a*s * y^2 = (x^2 + 2x - 2) * (s^3 x^4 + 4 s^3 x^3 + 2dx - d), d = a^2 - 4s^3.
 
     s is the rational cube root of b; sextic holds the expanded right-hand
@@ -141,10 +146,10 @@ def integral_model(c: Curve) -> Curve:
     The scale is prod p^-min(v_p(a)//6, v_p(b)//12) (v_p(b)//12 when a = 0):
     only denominator primes, which are factored, and primes with p^12 |
     gcd(num(a)^2, num(b)), found by `power_primes`, can have a nonzero exponent.
-    The result is marked (not a field: ==, hash, repr ignore it) and a marked
-    curve is returned at once: a model is its own fixed point, and a layer
-    handed one does not normalize it again.  An unmarked input, even its own
-    model, gets a new marked curve; nothing is stored on the caller's object.
+    The result is marked, a _Model (==, hash, repr ignore the type), and a
+    marked curve is returned at once: a model is its own fixed point, and a
+    layer handed one does not normalize it again.  An unmarked input, even its
+    own model, gets a new marked curve; nothing is stored on the caller's object.
     """
     if c._is_model:
         return c
@@ -158,10 +163,9 @@ def integral_model(c: Curve) -> Curve:
         e = vb // 12 if c.a == 0 else min(_valuation_q(c.a, p) // 6, vb // 12)
         lam /= Fraction(p) ** e
     # smooth, since c is
-    out = Curve(c.a, c.b) if lam == 1 else Curve(lam ** 6 * c.a, lam ** 12 * c.b)
+    out = _Model(c.a, c.b) if lam == 1 else _Model(lam ** 6 * c.a, lam ** 12 * c.b)
     if out.a.denominator != 1 or out.b.denominator != 1:
         raise InternalInconsistency(f"integral model {out} of {c} is not integral")
-    object.__setattr__(out, "_is_model", True)
     return out
 
 

@@ -31,7 +31,8 @@ surface raise CMNotSupported.  Sato-Tate labels are attached to the Galois
 label alone: D6 -> "J(E_6)", D3 -> "J(E_3)", nothing is asserted for D1/D2.
 
 Every rule above is stated once, in endo_field, which returns all the claims
-for one curve as a frozen EndoFieldDescriptor; the public predicates read it.
+for one curve as an EndoFieldDescriptor, a NamedTuple; the public predicates
+read it.
 
 The Shimura-curve coordinate t = (j+1)^2 / (4j) and its lifting criterion
 (t(t-1) a square or zero) are exposed for cross-checks; every j realized by a
@@ -40,10 +41,9 @@ rational curve does lift, since t(t-1) = ((j^2-1)/(4j))^2 identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curves import Curve, discriminant, j_invariant
 from .errors import CMNotSupported
@@ -68,16 +68,14 @@ CM_TABLE = {
 _CM_BY_J_OR_INVERSE = {**{1 / j: disc for j, disc in CM_TABLE.items()}, **CM_TABLE}
 
 
-@dataclass(frozen=True)
-class EndRing:
+class EndRing(NamedTuple):
     """End(P) over Q: Z, Z[sqrt(2)], Z[sqrt(6)], or CM with its discriminant."""
 
     kind: str  # "Z" | "Z_sqrt2" | "Z_sqrt6" | "CM"
     cm_discriminant: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class EndoFieldDescriptor:
+class EndoFieldDescriptor(NamedTuple):
     """End(P) of one curve: the splitting data of L = Q(omega, delta^(1/6)) with
     Gal(L/Q) = D_d, j, and every endomorphism claim read off them."""
 

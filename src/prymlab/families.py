@@ -19,10 +19,9 @@ denominator in the formulas vanishes or the resulting discriminant is zero.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import CodeType
-from typing import Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .curves import Curve, new_curve
 from .errors import DegenerateCurve, DegenerateParameters, UnknownFamily
@@ -32,8 +31,7 @@ from .torsion import CLASSIFICATION
 _SHAPES = {row[0]: shape for shape, row in CLASSIFICATION.items()}  # name -> (m, n)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     id: str
     param_names: Tuple[str, ...]
     a_formula: str

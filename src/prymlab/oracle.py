@@ -68,20 +68,27 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .curves import Curve, EllipticModel, integral_model
 from .errors import BadPrime, InternalInconsistency, WeilBoundViolation
 from .factorization import is_prime, primes_from
+from .rationals import parse_int
 
 
 def _prime_cap() -> int:
-    return int(os.environ.get("PRYMLAB_PRIME_CAP", "499"))
+    return _parsed_cap(os.environ.get("PRYMLAB_PRIME_CAP", "499"))
 
 
-@dataclass(frozen=True)
-class LPolynomial:
+@functools.lru_cache(maxsize=1)  # read once per value: the cap is checked ~15 times a record
+def _parsed_cap(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise ValueError(f"PRYMLAB_PRIME_CAP is not an integer: {text!r}") from None
+
+
+class LPolynomial(NamedTuple):
     """L(T) = sum c_i T^i, degree 2g, with c_0 = 1 and the functional equation
     c_{2g-i} = p^{g-i} c_i."""
 
@@ -90,8 +97,7 @@ class LPolynomial:
     coeffs: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrymCount:
+class PrymCount(NamedTuple):
     """L_C = L_E * L_P at one good prime; order = L_P(1) = #P(F_p)."""
 
     p: int

@@ -11,15 +11,13 @@ divisors they have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, NamedTuple, Set, Tuple
 
 from .rationals import RationalLike, integer_nth_root, is_nth_power
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial; coeffs[i] multiplies x^i.  Leading coeff nonzero."""
 
     coeffs: Tuple[int, ...]

@@ -3,8 +3,8 @@
 Public functions return ``fractions.Fraction`` in lowest terms with positive
 denominator (an ``int`` is accepted as input); the layers compute on integer
 numerators and denominators and build each rational they return once.  The
-wire format (CLI arguments, JSON fields) is base-10 ``"p/q"`` or ``"p"``; no
-floats appear anywhere.
+wire format (CLI arguments, JSON fields) is ``"p/q"`` or ``"p"`` in ASCII
+base-10 digits; no floats appear anywhere.
 
 The nth-power test never factors: a reduced fraction is an nth power iff
 numerator and denominator separately are, and those are settled by an integer
@@ -23,27 +23,39 @@ from typing import Optional, Union
 RationalLike = Union[Fraction, int]
 
 
-_WIRE_RE = re.compile(r"[+-]?(\d+)(?:/(\d+))?")
+_WIRE_RE = re.compile(r"[+-]?(\d+)(?:/(\d+))?", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (base 10) into an exact rational.
+    """Parse "p/q" or "p" (base 10, ASCII digits) into an exact rational.
 
     A numerator or denominator longer than Python's limit for integer string
     conversion (``sys.get_int_max_str_digits()``, leading zeros counted) is
     refused with a message of its own rather than Python's.
     """
-    body = text.strip()
-    m = _WIRE_RE.fullmatch(body)
+    m = _wire_match(text)
+    if m.group(2) is not None and int(m.group(2)) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(m.group(0))
+
+
+def parse_int(text: str) -> int:
+    """An integer in the wire format: "p", never "p/q"."""
+    if "/" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(_wire_match(text).group(0))
+
+
+def _wire_match(text: str) -> re.Match:
+    # the match of text, stripped, against _WIRE_RE, within the digit limit
+    m = _WIRE_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"not a rational in p/q form: {text!r}")
     digits = max(len(m.group(1)), len(m.group(2) or ""))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, before 3.10.7
     if limit and digits > limit:
         raise ValueError(f"a {digits}-digit number exceeds the {limit}-digit limit")
-    if m.group(2) is not None and int(m.group(2)) == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(body)
+    return m
 
 
 def format_rational(q: RationalLike) -> str:

@@ -34,9 +34,8 @@ correct code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from .curves import Curve, integral_model
 from .endomorphisms import EndRing, end_ring
@@ -64,8 +63,7 @@ CLASSIFICATION = {
 _RM_KINDS = ("Z_sqrt2", "Z_sqrt6")
 
 
-@dataclass(frozen=True)
-class TwoTorsionReport:
+class TwoTorsionReport(NamedTuple):
     e_part: bool                      # 16(a^2-4b) is a cube
     ehat_point: Optional[Fraction]    # real cube root t of b, when b is a cube
     lift: bool                        # g_{a,t} has a rational root
@@ -73,8 +71,7 @@ class TwoTorsionReport:
     witness_root: Optional[Fraction]  # a rational root of g_{a,t}, if lift
 
 
-@dataclass(frozen=True)
-class ThreePartReport:
+class ThreePartReport(NamedTuple):
     r: int        # rank of the prime-above-3 part
     r_twist: int  # same for the -27 sextic twist
     lower: int
@@ -83,8 +80,7 @@ class ThreePartReport:
     witnesses: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(NamedTuple):
     invariant_factors: Tuple[int, ...]
     group_name: str
     status: str

@@ -1,8 +1,8 @@
 """Curve model: invariants, duality, twists, isomorphism tests, models."""
 
-import dataclasses
 import functools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ import pytest
 from prymlab import classify_record, curves
 from prymlab.cli import main
 from prymlab.curves import (
+    Curve,
     bigonal_dual,
     curve_from_dict,
     curve_to_dict,
@@ -212,11 +213,24 @@ def test_integral_model_is_marked_not_stored_on_inputs(normalizations):
     assert m is not c and m == c
     assert hash(m) == hash(c) and repr(m) == repr(c) and str(m) == str(c)
     assert curve_to_dict(m) == curve_to_dict(c)
-    assert [f.name for f in dataclasses.fields(m)] == ["a", "b"]
+    assert m._fields == ("a", "b")
     integral_model(c)  # c stays unmarked: a full normalization again
     assert len(normalizations) == 3
-    integral_model(dataclasses.replace(m))  # so does a copy of a model
+    integral_model(Curve(*m))  # so does a copy of a model
     assert len(normalizations) == 4
+    integral_model(m._replace())  # and a model with its fields replaced
+    assert len(normalizations) == 5
+    for curve in (c, m):  # no instance takes an attribute: the mark is the type
+        with pytest.raises(AttributeError):
+            curve._is_model = not curve._is_model
+
+
+def test_pickled_curve_and_model_round_trip():
+    c = new_curve(Fraction(1, 2), Fraction(1, 3))
+    m = integral_model(c)
+    c2, m2 = pickle.loads(pickle.dumps((c, m)))
+    assert (c2, m2) == (c, m) and repr(c2) == repr(c) and repr(m2) == repr(m)
+    assert not c2._is_model and m2._is_model and integral_model(m2) is m2
 
 
 @pytest.mark.parametrize("with_oracle", [False, True])

@@ -52,6 +52,12 @@ CASES = [  # (argv, exit code)
     (["scan", "--family", "table2_Z6", "--param", "c=1..", "--out", OUT], 1),
     (["scan", "--box", "a=1_0..1_1", "b=1..1", "--out", OUT], 1),  # as --box a=1_0 is
     (["scan", "--box", "a=1..2/1", "b=1..1", "--out", OUT], 1),
+    # digits outside ASCII and underscores, which int() and Fraction() would read
+    (["classify", "٣", "４", "--json"], 1),
+    (["classify", "-٣", "4", "--json"], 1),
+    (["oracle", "3", "4", "--count", "0_3"], 1),
+    (["oracle", "3", "4", "--count", "٣"], 1),
+    (["scan", "--box", "a=1..1", "b=1..2", "--jobs", "٢", "--out", OUT], 1),
     # zero denominators and degenerate points
     (["classify", "1/0", "4"], 1),
     (["dual", "3", "1/0"], 1),

@@ -238,6 +238,16 @@ def test_oracle_runs_without_numpy():
     assert proc.stdout == f"{record}\n215\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S: no site hooks, which may load either module on their own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, prymlab.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_l_polynomial_genus1():
     # y^2 = x^3 + 4 over F_7 has 3 points: L = 1 - 5T + 7T^2
     lp = l_polynomial([3], 7, 1)
@@ -344,6 +354,11 @@ def test_prime_cap_env(monkeypatch):
     assert good_primes(c, 15)[-1] == 59
     with pytest.raises(BadPrime, match=r"^p = 61 above enumeration cap 60$"):
         good_primes(c, 10 ** 6)
+    # the cap is read by the wire grammar: no underscores, ASCII digits only
+    for text in ("4_99", "٤٩٩", "abc"):
+        monkeypatch.setenv("PRYMLAB_PRIME_CAP", text)
+        with pytest.raises(ValueError, match=rf"^PRYMLAB_PRIME_CAP is not an integer: '{text}'$"):
+            prym_order(c, 13)
 
 
 def test_per_prime_tables_built_once_and_bounded(monkeypatch):
